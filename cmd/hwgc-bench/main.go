@@ -110,13 +110,9 @@ func main() {
 		if *traceOut != "" {
 			tel.EnableTrace()
 		}
-		if record {
+		// -metrics-out renders the recorded series, so it records too.
+		if record || *metricsOut != "" {
 			tel.EnableRecording(*seriesPoints)
-			if *metricsOut == "" {
-				// Recording alone is fixed-memory; the unbounded row log
-				// only runs when the JSONL dump asked for it.
-				tel.DisableRowCapture()
-			}
 		}
 		hwgc.SetDefaultTelemetry(tel)
 		defer hwgc.SetDefaultTelemetry(nil)
@@ -292,7 +288,9 @@ func main() {
 			m.Experiments = append(m.Experiments, rec)
 		}
 		m.SnapshotTelemetry(tel)
-		m.SnapshotTimeseries(tel)
+		if record { // not for -metrics-out alone
+			m.SnapshotTimeseries(tel)
+		}
 		if store != nil {
 			path, err := store.Append(m)
 			if err != nil {

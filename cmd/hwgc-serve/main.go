@@ -12,6 +12,11 @@
 //	hwgc-serve -ledger runs/           # append a run manifest per job
 //	hwgc-serve -pprof                  # expose /debug/pprof/
 //
+// Every job's simulation counters merge into /v1/metrics. The daemon
+// records no time series, so its telemetry sampler (default 1024-cycle
+// interval) only paces the job progress heartbeat; hwgc-bench and hwgc-sim
+// -timeseries / -metrics-out record time series.
+//
 // Cluster mode turns the daemon into a coordinator: jobs are dispatched to
 // registered workers (cmd/hwgc-worker) through per-job leases instead of
 // running in-process, with the protocol endpoints mounted under
@@ -72,7 +77,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist cached results under this directory")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long in-flight jobs may keep running after SIGINT/SIGTERM before being cancelled")
-	sampleEvery := flag.Uint64("sample-every", 1024, "telemetry gauge sampling interval in cycles")
 	ledgerDir := flag.String("ledger", "", "append one run manifest per finished job under this directory")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	clusterOn := flag.Bool("cluster", false,
@@ -112,7 +116,9 @@ func main() {
 	// A synchronized hub lets every concurrently running simulation attach
 	// (each forks a private child), so jobs keep the fleet's full parallel
 	// width and /v1/metrics merges service, cache, and simulation metrics.
-	hub := telemetry.NewSyncHub(*sampleEvery)
+	// It never records time series, so its sampler (default interval) only
+	// paces the progress heartbeat.
+	hub := telemetry.NewSyncHub(0)
 	telemetry.SetDefault(hub)
 
 	svcCfg := service.Config{

@@ -113,11 +113,9 @@ func main() {
 		if *traceOut != "" {
 			tel.EnableTrace()
 		}
-		if record {
+		// -metrics-out renders the recorded series, so it records too.
+		if record || *metricsOut != "" {
 			tel.EnableRecording(*seriesPoints)
-			if *metricsOut == "" {
-				tel.DisableRowCapture()
-			}
 		}
 	}
 
@@ -174,6 +172,9 @@ func main() {
 
 	if *ledgerDir != "" || *reportOut != "" {
 		m := buildSimManifest(*collector, *gcs, *seed, specsToRun, ress, times, errsAll, tel)
+		if record { // not for -metrics-out alone
+			m.SnapshotTimeseries(tel)
+		}
 		if *ledgerDir != "" {
 			if err := appendSimManifest(*ledgerDir, m); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -238,7 +239,6 @@ func buildSimManifest(collector string, gcs int, seed uint64,
 		m.Experiments = append(m.Experiments, rec)
 	}
 	m.SnapshotTelemetry(tel)
-	m.SnapshotTimeseries(tel)
 	return m
 }
 

@@ -77,16 +77,18 @@ func Benchmark(name string) (Spec, bool) { return workload.ByName(name) }
 // that can be attached to a simulated system (see docs/OBSERVABILITY.md).
 type Telemetry = telemetry.Hub
 
-// NewTelemetry returns a hub whose sampler snapshots gauges every
-// sampleEvery cycles (0 picks the default interval). Call EnableTrace on
-// the result to also record structured events.
+// NewTelemetry returns a hub whose sampler ticks every sampleEvery cycles
+// (0 picks the default interval). Call EnableRecording on the result to
+// keep bounded time series (what WriteSamplesJSONL writes) and EnableTrace
+// to also record structured events.
 func NewTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewHub(sampleEvery) }
 
 // NewSyncTelemetry returns a synchronized hub: safe to install as the
 // process default while simulations run concurrently, so instrumented
 // fleet runs keep their full parallel width. Each simulation forks a
 // private child hub internally; the hub's WriteSummary /
-// WriteSamplesJSONL / WriteTraceChrome methods merge them back together.
+// WriteSamplesJSONL / WriteTraceChrome methods merge them back together
+// (WriteSamplesJSONL tags each run's recorded series with its run name).
 func NewSyncTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewSyncHub(sampleEvery) }
 
 // SetDefaultTelemetry installs tel as the process-wide default hub: every
@@ -100,8 +102,9 @@ func Run(cfg Config, spec Spec, kind CollectorKind, gcs int, seed uint64) (AppRe
 }
 
 // RunInstrumented is Run with a telemetry hub attached to the collector
-// system: counters, sampled time series, and (when EnableTrace was called)
-// trace events accumulate in tel across all gcs collections.
+// system: counters, recorded time series (when EnableRecording was
+// called), and trace events (when EnableTrace was called) accumulate in tel
+// across all gcs collections.
 func RunInstrumented(cfg Config, spec Spec, kind CollectorKind, gcs int, seed uint64, tel *Telemetry) (AppResult, error) {
 	r, err := core.NewAppRunner(cfg, spec, kind, seed)
 	if err != nil {

@@ -52,9 +52,6 @@ func NewState(size, ways int) *State {
 // Sets returns the number of sets.
 func (s *State) Sets() int { return s.sets }
 
-// Ways returns the associativity.
-func (s *State) Ways() int { return s.ways }
-
 func (s *State) index(addr uint64) (set int, tag uint64) {
 	line := addr / LineSize
 	return int(line % uint64(s.sets)), line/uint64(s.sets) + 1

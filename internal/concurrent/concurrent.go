@@ -108,9 +108,6 @@ func (c *Collector) Start() {
 	c.mut.tracing = true
 }
 
-// Active reports whether a trace is in progress.
-func (c *Collector) Active() bool { return c.active }
-
 // AttachTelemetry registers the concurrent collector's metrics under
 // concurrent.* and enables per-slice instant events. The model is
 // slice-driven, not cycle-driven, so the slice index stands in for the

@@ -84,16 +84,6 @@ func New(cfg Config, pt *vmem.PageTable, memory dram.SyncMemory) *CPU {
 // Now returns the core's local cycle count.
 func (c *CPU) Now() uint64 { return c.now }
 
-// SetNow repositions the clock (used when interleaving with other timed
-// components). Repositioning is not simulated time passing, so the probe
-// realigns to the new position without firing.
-func (c *CPU) SetNow(t uint64) {
-	c.now = t
-	if c.probe != nil {
-		c.probeNext = (t/c.probeEvery + 1) * c.probeEvery
-	}
-}
-
 // SetProbe installs fn to fire at every crossed multiple of every cycles as
 // the core's clock advances (0 = default 1024). Like the engine probe, it
 // observes timing without participating in it: the callback must not touch

@@ -201,12 +201,9 @@ func (h *Heap) Store(va, v uint64) { h.Mem.Store64(h.PA(va), v) }
 
 // --- Mark sense -----------------------------------------------------------
 
-// Sense returns the current mark polarity: an object is "marked" when its
-// mark bit equals the sense. Flipping the sense at the start of each
+// FlipSense starts a new collection epoch. An object is "marked" when its
+// mark bit equals the sense, so flipping the sense at the start of each
 // collection un-marks every surviving object without touching memory.
-func (h *Heap) Sense() bool { return h.sense }
-
-// FlipSense starts a new collection epoch.
 func (h *Heap) FlipSense() { h.sense = !h.sense }
 
 // IsMarkedStatus interprets a status word under the current sense.

@@ -139,9 +139,6 @@ type Result struct {
 	Joules float64
 }
 
-// TotalW returns combined average power.
-func (r Result) TotalW() float64 { return r.CoreW + r.DRAMW }
-
 // MilliJoules returns the energy in mJ.
 func (r Result) MilliJoules() float64 { return r.Joules * 1e3 }
 

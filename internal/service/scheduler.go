@@ -507,12 +507,14 @@ func (s *Scheduler) finish(job *Job, st State, errMsg string, res DispatchResult
 		}
 	}
 	s.mu.Unlock()
-	close(job.done)
 	if s.cfg.Ledger != nil {
 		// Manifest writes happen outside the lock — a slow disk never
-		// stalls the job table. A failed append only loses the record.
+		// stalls the job table — but before done closes, so a finished
+		// job's manifest is already in the ledger. A failed append only
+		// loses the record.
 		_, _ = s.cfg.Ledger.Append(jobManifest(job))
 	}
+	close(job.done)
 }
 
 // evictOldestLocked drops the oldest finished job from the table and

@@ -40,15 +40,3 @@ func (t *Ticker) Wake() {
 	t.scheduled = true
 	t.e.After(1, t.run)
 }
-
-// WakeNow schedules the unit to step in the current cycle (after events
-// already queued for this cycle). Used to start units at time zero.
-//
-//hwgc:hotpath
-func (t *Ticker) WakeNow() {
-	if t.scheduled {
-		return
-	}
-	t.scheduled = true
-	t.e.After(0, t.run)
-}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -40,7 +41,6 @@ type syncState struct {
 	trace        bool
 	record       bool // children record bounded time series
 	recordPoints int
-	noRows       bool // children skip the unbounded row log
 	perLabel     map[string]int
 	children     []syncChild
 }
@@ -121,24 +121,6 @@ func (h *Hub) EnableRecording(maxPoints int) {
 	}
 }
 
-// DisableRowCapture stops the sampler's unbounded per-tick row log (the
-// -metrics-out JSONL source), leaving the bounded recorder as the only
-// per-tick sink — the fixed-memory configuration for recording-only runs.
-// On a synchronized hub, children forked afterwards inherit the setting.
-func (h *Hub) DisableRowCapture() {
-	if h == nil {
-		return
-	}
-	if h.Sampler != nil {
-		h.Sampler.noRows = true
-	}
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.noRows = true
-		h.sync.mu.Unlock()
-	}
-}
-
 // RecordedSeries returns every run's recorded time series. A plain hub
 // yields at most one entry with an empty run name; a synchronized hub
 // yields its own series as "main" plus one entry per child, in (label, fork
@@ -186,9 +168,6 @@ func (h *Hub) ForRun(label string) *Hub {
 	}
 	if s.record {
 		c.Sampler.enableRecording(s.recordPoints)
-	}
-	if s.noRows {
-		c.Sampler.noRows = true
 	}
 	s.children = append(s.children, syncChild{label: label, seq: s.perLabel[label], hub: c})
 	s.perLabel[label]++
@@ -275,43 +254,73 @@ func fold(dst, src *Registry) {
 // a synchronized hub). Nil-safe.
 func (h *Hub) WriteSummary(w io.Writer) error { return h.Snapshot().WriteSummary(w) }
 
-// WriteSamplesJSONL writes every recorded metric sample. A plain hub's
-// output is unchanged from Sampler.WriteJSONL; a synchronized hub writes
-// each run's samples tagged with a "run" field, runs ordered by (label,
-// fork sequence). At fleet width 1 that order is canonical; at higher
+// WriteSamplesJSONL writes every run's recorded time series (see
+// EnableRecording) as JSONL, one row per retained cycle:
+//
+//	{"run":"xalan/hw#0","cycle":2048,"metrics":{"dram.bank0.openrow":17,...}}
+//
+// Values are the recorder's: window means for gauges, per-cycle rates for
+// counter kinds. Rows are cycle-ordered with sorted metric names and
+// deterministic float formatting, so identical runs write identical bytes.
+// A run whose metrics all registered before its first tick (every
+// simulated system) shares one cycle grid, so it writes at most the
+// recorder's point bound of rows. A plain hub's rows carry no "run" field;
+// a synchronized hub tags every row with its run name, runs ordered as in
+// RecordedSeries. At fleet width 1 that order is canonical; at higher
 // widths runs sharing a label may permute (their contents stay
-// deterministic).
+// deterministic). Writes nothing when recording is off.
 func (h *Hub) WriteSamplesJSONL(w io.Writer) error {
-	if h == nil {
-		return nil
-	}
-	if h.sync == nil {
-		return h.Sampler.WriteJSONL(w)
-	}
-	if err := h.Sampler.writeJSONL(w, "main"); err != nil {
-		return err
-	}
-	for _, c := range h.sortedChildren() {
-		if err := c.hub.Sampler.writeJSONL(w, c.name()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := h.writeSamples(w)
+	return err
 }
 
-// SampleCount returns the total number of recorded samples across the hub
-// and (for a synchronized hub) all forked children.
+// SampleCount returns the number of rows WriteSamplesJSONL writes.
 func (h *Hub) SampleCount() int {
-	if h == nil {
-		return 0
-	}
-	n := h.Sampler.Len()
-	if h.sync != nil {
-		for _, c := range h.sortedChildren() {
-			n += c.hub.Sampler.Len()
+	n, _ := h.writeSamples(io.Discard)
+	return n
+}
+
+// writeSamples is WriteSamplesJSONL returning the rows written. Each run's
+// series are merged by cycle: a row holds every series with a point at
+// that cycle, in the series' sorted name order.
+func (h *Hub) writeSamples(w io.Writer) (int, error) {
+	rows := 0
+	for _, r := range h.RecordedSeries() {
+		prefix := ""
+		if r.Run != "" {
+			prefix = `"run":` + strconv.Quote(r.Run) + `,`
+		}
+		next := make([]int, len(r.Series)) // per-series cursor
+		for {
+			cycle, ok := uint64(0), false
+			for i, s := range r.Series {
+				if next[i] < len(s.Points) && (!ok || s.Points[next[i]].Cycle < cycle) {
+					cycle, ok = s.Points[next[i]].Cycle, true
+				}
+			}
+			if !ok {
+				break
+			}
+			if _, err := fmt.Fprintf(w, `{%s"cycle":%d,"metrics":{`, prefix, cycle); err != nil {
+				return rows, err
+			}
+			sep := ""
+			for i, s := range r.Series {
+				if next[i] < len(s.Points) && s.Points[next[i]].Cycle == cycle {
+					if _, err := fmt.Fprintf(w, "%s%s:%s", sep, strconv.Quote(s.Name), fnum(s.Points[next[i]].Val)); err != nil {
+						return rows, err
+					}
+					sep = ","
+					next[i]++
+				}
+			}
+			if _, err := io.WriteString(w, "}}\n"); err != nil {
+				return rows, err
+			}
+			rows++
 		}
 	}
-	return n
+	return rows, nil
 }
 
 // WriteTraceChrome writes the recorded trace events in Chrome trace_event

@@ -1,46 +1,21 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"strconv"
-)
-
-// Sampler snapshots the registry's time-varying metrics (gauges and rates)
-// at fixed cycle intervals into deterministic time series — the paper-style
-// occupancy/utilization curves (mark-queue depth, bank states, port
-// busy %). It is driven by the simulation engine's probe hook, which fires
-// at cycle boundaries between events without scheduling anything, so
+// Sampler paces the registry's per-tick telemetry: it counts probe ticks
+// taken at fixed cycle intervals and, when recording is on, feeds each tick
+// to the bounded time-series Recorder — the one per-tick sink behind the
+// paper-style occupancy/utilization curves (mark-queue depth, bank states,
+// port busy %). It is driven by the simulation engine's probe hook, which
+// fires at cycle boundaries between events without scheduling anything, so
 // sampling can never perturb simulated results.
 type Sampler struct {
 	reg *Registry
 	// Every is the sampling interval in cycles.
 	Every uint64
 
-	rows     []sampleRow
-	lastRate []uint64
-	ticks    int
-
+	ticks int
 	// rec, when non-nil, is the bounded time-series recorder fed one tick
-	// per sample. noRows suppresses the unbounded row log so a
-	// recording-only run holds fixed memory no matter how long it runs.
-	rec    *Recorder
-	noRows bool
-
-	// Cached sampled-metric list, rebuilt when the registry's generation
-	// changes (Sample is the probe hot path — re-sorting every name each
-	// tick would dominate the sampler's cost).
-	gen   int
-	names []string
-	ms    []*metric
-}
-
-// sampleRow is one snapshot. Rows taken under the same registry generation
-// share the names slice.
-type sampleRow struct {
-	cycle uint64
-	names []string
-	vals  []float64
+	// per sample.
+	rec *Recorder
 }
 
 // NewSampler returns a sampler over reg with the given interval.
@@ -51,63 +26,20 @@ func NewSampler(reg *Registry, every uint64) *Sampler {
 	return &Sampler{reg: reg, Every: every}
 }
 
-// refresh rebuilds the sampled-metric cache after new registrations. Rate
-// baselines carry over by name so a mid-run attach does not spike deltas.
-func (s *Sampler) refresh() {
-	if s.names != nil && s.gen == s.reg.gen {
-		return
-	}
-	prev := make(map[string]uint64, len(s.names))
-	for i, n := range s.names {
-		if s.ms[i].kind == KindRate {
-			prev[n] = s.lastRate[i]
-		}
-	}
-	s.gen = s.reg.gen
-	s.names = s.names[:0:0]
-	s.ms = s.ms[:0:0]
-	s.lastRate = s.lastRate[:0:0]
-	for _, n := range s.reg.Names() {
-		m := s.reg.metrics[n]
-		if m.kind == KindGauge || m.kind == KindRate {
-			s.names = append(s.names, n)
-			s.ms = append(s.ms, m)
-			s.lastRate = append(s.lastRate, prev[n])
-		}
-	}
-}
-
-// Sample records one snapshot at the given cycle: every gauge's current
-// value and every rate's per-cycle delta since the previous sample, in
-// sorted name order.
+// Sample takes one probe tick at the given cycle: it counts the tick and
+// folds it into the recorder, if any. With recording off it allocates
+// nothing.
+//
+//hwgc:hotpath
 func (s *Sampler) Sample(cycle uint64) {
 	if s == nil || s.reg == nil {
 		return
 	}
 	s.ticks++
 	s.rec.Tick(cycle)
-	if s.noRows {
-		return
-	}
-	s.refresh()
-	vals := make([]float64, len(s.ms))
-	for i, m := range s.ms {
-		switch m.kind {
-		case KindGauge:
-			if m.gauge != nil {
-				vals[i] = m.gauge()
-			}
-		case KindRate:
-			v := m.rate.Value()
-			vals[i] = float64(v-s.lastRate[i]) / float64(s.Every)
-			s.lastRate[i] = v
-		}
-	}
-	s.rows = append(s.rows, sampleRow{cycle: cycle, names: s.names, vals: vals})
 }
 
-// Len returns the number of probe ticks taken. With row capture on (the
-// default) it equals the number of recorded rows.
+// Len returns the number of probe ticks taken.
 func (s *Sampler) Len() int {
 	if s == nil {
 		return 0
@@ -131,62 +63,4 @@ func (s *Sampler) Recorder() *Recorder {
 		return nil
 	}
 	return s.rec
-}
-
-// Series extracts one metric's time series as (cycle, value) pairs from the
-// recorded samples.
-func (s *Sampler) Series(name string) (cycles []uint64, vals []float64) {
-	if s == nil {
-		return nil, nil
-	}
-	for _, row := range s.rows {
-		for i, n := range row.names {
-			if n == name {
-				cycles = append(cycles, row.cycle)
-				vals = append(vals, row.vals[i])
-				break
-			}
-		}
-	}
-	return cycles, vals
-}
-
-// WriteJSONL writes one JSON object per sample tick:
-//
-//	{"cycle":2048,"metrics":{"dram.bank0.openrow":17,...}}
-//
-// Keys are sorted and floats formatted deterministically, so identical runs
-// produce byte-identical output.
-func (s *Sampler) WriteJSONL(w io.Writer) error { return s.writeJSONL(w, "") }
-
-// writeJSONL is WriteJSONL with an optional run tag: when run is non-empty
-// every row carries a leading "run" field, so samples from several
-// concurrent runs merged into one stream (the synchronized hub) stay
-// attributable.
-func (s *Sampler) writeJSONL(w io.Writer, run string) error {
-	if s == nil {
-		return nil
-	}
-	prefix := ""
-	if run != "" {
-		prefix = `"run":` + strconv.Quote(run) + `,`
-	}
-	for _, row := range s.rows {
-		if _, err := fmt.Fprintf(w, `{%s"cycle":%d,"metrics":{`, prefix, row.cycle); err != nil {
-			return err
-		}
-		for i, n := range row.names {
-			sep := ","
-			if i == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(w, "%s%s:%s", sep, strconv.Quote(n), fnum(row.vals[i])); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "}}\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -178,38 +178,49 @@ func TestRegistrySummaryDeterministic(t *testing.T) {
 	}
 }
 
+// TestSamplerSeries: the sampler's ticks reach the recorder, which keeps
+// gauge values and per-cycle rate deltas, and WriteSamplesJSONL renders
+// them as deterministic cycle rows.
 func TestSamplerSeries(t *testing.T) {
-	reg := NewRegistry()
+	h := NewHub(10)
+	h.EnableRecording(0)
 	occ := 0.0
-	reg.Gauge("q.occupancy", func() float64 { return occ })
-	rate := reg.Rate("q.rate")
-	s := NewSampler(reg, 10)
+	h.Reg.Gauge("q.occupancy", func() float64 { return occ })
+	rate := h.Reg.Rate("q.rate")
+	s := h.Sampler
 	for cycle := uint64(10); cycle <= 30; cycle += 10 {
 		occ = float64(cycle)
 		rate.Add(20) // 2 per cycle
 		s.Sample(cycle)
 	}
 	if s.Len() != 3 {
-		t.Fatalf("rows = %d, want 3", s.Len())
+		t.Fatalf("ticks = %d, want 3", s.Len())
 	}
-	cycles, vals := s.Series("q.occupancy")
-	if len(vals) != 3 || vals[0] != 10 || vals[2] != 30 || cycles[2] != 30 {
-		t.Fatalf("occupancy series = %v @ %v", vals, cycles)
+	series := map[string][]Point{}
+	for _, sd := range s.Recorder().Series() {
+		series[sd.Name] = sd.Points
 	}
-	_, rvals := s.Series("q.rate")
-	if len(rvals) != 3 || rvals[0] != 2 || rvals[1] != 2 {
-		t.Fatalf("rate series = %v, want per-cycle deltas of 2", rvals)
+	if p := series["q.occupancy"]; len(p) != 3 || p[0].Val != 10 || p[2].Val != 30 || p[2].Cycle != 30 {
+		t.Fatalf("occupancy series = %+v", p)
+	}
+	// The first window baselines the rate at its current value (0 delta);
+	// later windows report the per-cycle delta.
+	if p := series["q.rate"]; len(p) != 3 || p[0].Val != 0 || p[1].Val != 2 || p[2].Val != 2 {
+		t.Fatalf("rate series = %+v, want per-cycle deltas of 2 after the baseline", p)
 	}
 
 	var a, b bytes.Buffer
-	if err := s.WriteJSONL(&a); err != nil {
+	if err := h.WriteSamplesJSONL(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteJSONL(&b); err != nil {
+	if err := h.WriteSamplesJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("sampler JSONL not deterministic")
+	}
+	if n := strings.Count(a.String(), "\n"); n != 3 || h.SampleCount() != 3 {
+		t.Fatalf("JSONL rows = %d, SampleCount = %d; want 3", n, h.SampleCount())
 	}
 	var row struct {
 		Cycle   uint64             `json:"cycle"`

@@ -2,21 +2,22 @@ package telemetry
 
 import "sort"
 
-// The time-series recorder extends the cycle sampler into a bounded,
-// auto-downsampling store: instead of appending one unbounded row per probe
-// tick (the -metrics-out path), it keeps at most maxPoints (cycle, value)
+// The time-series recorder is the cycle sampler's bounded,
+// auto-downsampling store: it keeps at most maxPoints (cycle, value)
 // points per metric. When a series fills, adjacent points are merged in
 // place — halving resolution and doubling the retention stride — so a run
 // of any length fits a fixed memory budget and the retained curve always
 // spans the whole run. Everything is keyed to the simulation cycle, so two
 // identical runs record byte-identical series.
 //
-// Unlike the row sampler (gauges and rates only), the recorder also derives
-// per-cycle rates from counters and counter funcs, which is how counters
-// that units already keep as plain fields (TLB misses, page walks) become
-// timelines without touching their hot paths.
+// Besides gauges and rates, the recorder derives per-cycle rates from
+// counters and counter funcs, which is how counters that units already keep
+// as plain fields (TLB misses, page walks) become timelines without
+// touching their hot paths.
 //
-// Recording is off by default; Hub.EnableRecording turns it on.
+// Recording is off by default; Hub.EnableRecording turns it on. The run
+// manifest's timeseries section and -metrics-out (Hub.WriteSamplesJSONL)
+// both read the recorded series.
 
 // Point is one retained sample: the cycle the retention window ended at and
 // the window's value (mean for gauges, per-cycle rate for counter kinds).
@@ -85,14 +86,6 @@ func newRecorder(reg *Registry, every uint64, maxPoints int) *Recorder {
 		maxPoints++
 	}
 	return &Recorder{reg: reg, every: every, maxPoints: maxPoints, stride: 1}
-}
-
-// MaxPoints returns the per-series point bound.
-func (r *Recorder) MaxPoints() int {
-	if r == nil {
-		return 0
-	}
-	return r.maxPoints
 }
 
 // Interval returns the current retention stride in cycles (grows as the

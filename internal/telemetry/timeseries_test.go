@@ -1,12 +1,16 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestRecordingOffByDefault: a hub without EnableRecording keeps no series,
-// no matter how many probe ticks fire.
+// TestRecordingOffByDefault: a hub without EnableRecording keeps no series
+// and writes no sample rows, no matter how many probe ticks fire; the ticks
+// are still counted.
 func TestRecordingOffByDefault(t *testing.T) {
 	h := NewHub(10)
 	c := h.Reg.Counter("work.done")
@@ -17,8 +21,45 @@ func TestRecordingOffByDefault(t *testing.T) {
 	if got := h.RecordedSeries(); len(got) != 0 {
 		t.Fatalf("RecordedSeries with recording off = %v, want none", got)
 	}
+	var buf bytes.Buffer
+	if err := h.WriteSamplesJSONL(&buf); err != nil || buf.Len() != 0 || h.SampleCount() != 0 {
+		t.Fatalf("recording off wrote %d bytes, SampleCount %d (err %v), want none", buf.Len(), h.SampleCount(), err)
+	}
 	if h.Sampler.Len() != 10 {
-		t.Fatalf("Sampler.Len() = %d, want 10 (rows still captured)", h.Sampler.Len())
+		t.Fatalf("Sampler.Len() = %d, want 10 ticks counted", h.Sampler.Len())
+	}
+	if v, _ := h.Reg.Value("telemetry.sampler.samples"); v != 10 {
+		t.Fatalf("telemetry.sampler.samples = %v, want 10", v)
+	}
+}
+
+// TestSamplerOffZeroAllocs: with recording off the probe tick only counts,
+// so a hub that never records (every hwgc-serve job) costs the engine's
+// probe path nothing.
+func TestSamplerOffZeroAllocs(t *testing.T) {
+	h := NewHub(10)
+	g := 0.0
+	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
+	h.Reg.Counter("unit.ops").Add(1)
+	cyc := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		cyc += 10
+		h.Sampler.Sample(cyc)
+	}); allocs != 0 {
+		t.Fatalf("Sample without recording = %.1f allocs/tick, want 0", allocs)
+	}
+}
+
+// BenchmarkSamplerTickOff measures the probe tick of a hub that never
+// records (and doubles as its zero-alloc guard under -benchmem).
+func BenchmarkSamplerTickOff(b *testing.B) {
+	h := NewHub(10)
+	g := 0.0
+	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Sampler.Sample(uint64(10 + 10*i))
 	}
 }
 
@@ -188,7 +229,6 @@ func TestRecorderDeterminism(t *testing.T) {
 func TestSyncHubRecording(t *testing.T) {
 	h := NewSyncHub(10)
 	h.EnableRecording(0)
-	h.DisableRowCapture()
 
 	for _, label := range []string{"beta", "alpha"} {
 		child := h.ForRun(label)
@@ -219,25 +259,107 @@ func TestSyncHubRecording(t *testing.T) {
 	}
 }
 
-// TestDisableRowCaptureFixedMemory: with rows off, ticks accumulate in the
-// recorder but the unbounded row log stays empty.
-func TestDisableRowCaptureFixedMemory(t *testing.T) {
+// TestRecordingFixedMemory: a recording run holds fixed memory however
+// long it runs — once warm, ticks allocate nothing, every series stays
+// within the point bound, and so does the rendered JSONL.
+func TestRecordingFixedMemory(t *testing.T) {
+	const maxPoints = 16
 	h := NewHub(10)
-	h.EnableRecording(16)
-	h.DisableRowCapture()
+	h.EnableRecording(maxPoints)
 	g := 1.0
 	h.Reg.Gauge("g", func() float64 { return g })
-	for cyc := uint64(10); cyc <= 1000; cyc += 10 {
-		h.Sampler.Sample(cyc)
+	c := h.Reg.Counter("c")
+	cyc := uint64(0)
+	batch := func() {
+		for i := 0; i < 1000; i++ {
+			cyc += 10
+			c.Add(1)
+			h.Sampler.Sample(cyc)
+		}
 	}
-	if len(h.Sampler.rows) != 0 {
-		t.Fatalf("row log has %d rows with row capture disabled", len(h.Sampler.rows))
+	batch() // warm the metric cache
+	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+		t.Fatalf("recording = %.1f allocs per 1000 ticks, want 0", allocs)
 	}
-	if h.Sampler.Len() != 100 {
-		t.Fatalf("Sampler.Len() = %d, want 100 ticks counted", h.Sampler.Len())
+	if h.Sampler.Len() != 22000 {
+		t.Fatalf("Sampler.Len() = %d, want 22000 ticks counted", h.Sampler.Len())
 	}
-	if h.Sampler.Recorder().Len("g") == 0 {
-		t.Fatal("recorder captured nothing with rows off")
+	for _, name := range []string{"g", "c"} {
+		if n := h.Sampler.Recorder().Len(name); n == 0 || n > maxPoints {
+			t.Fatalf("series %s holds %d points, want 1..%d", name, n, maxPoints)
+		}
+	}
+	if n := h.SampleCount(); n == 0 || n > maxPoints {
+		t.Fatalf("SampleCount = %d, want 1..%d", n, maxPoints)
+	}
+}
+
+// TestWriteSamplesJSONLSyncHub: on a synchronized hub, -metrics-out rows are
+// run-tagged, cycle-ordered, bounded by the recorder's point count per run
+// even after downsampling, and byte-identical across identical runs.
+func TestWriteSamplesJSONLSyncHub(t *testing.T) {
+	const maxPoints, ticks = 16, 1000
+	run := func() string {
+		h := NewSyncHub(10)
+		h.EnableRecording(maxPoints)
+		for _, label := range []string{"beta", "alpha"} {
+			child := h.ForRun(label)
+			g := 0.0
+			child.Reg.Gauge("q.occupancy", func() float64 { return g })
+			c := child.Reg.Counter("q.ops")
+			for i := uint64(1); i <= ticks; i++ {
+				g = float64(i % 7)
+				c.Add(i % 5)
+				child.Sampler.Sample(10 * i)
+			}
+		}
+		var buf bytes.Buffer
+		if err := h.WriteSamplesJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(buf.String(), "\n"); n != h.SampleCount() {
+			t.Fatalf("SampleCount = %d, JSONL has %d rows", h.SampleCount(), n)
+		}
+		return buf.String()
+	}
+	out := run()
+	if out != run() {
+		t.Fatal("identical runs wrote different JSONL")
+	}
+
+	var runs []string
+	rows := map[string]int{}
+	last := map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		var row struct {
+			Run     string             `json:"run"`
+			Cycle   uint64             `json:"cycle"`
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("invalid JSONL row %q: %v", line, err)
+		}
+		if rows[row.Run] == 0 {
+			runs = append(runs, row.Run)
+		} else if row.Cycle <= last[row.Run] {
+			t.Fatalf("run %s: cycle %d after %d, want increasing", row.Run, row.Cycle, last[row.Run])
+		}
+		rows[row.Run]++
+		last[row.Run] = row.Cycle
+		if _, ok := row.Metrics["q.occupancy"]; !ok {
+			t.Fatalf("row %q missing q.occupancy", line)
+		}
+	}
+	if !reflect.DeepEqual(runs, []string{"alpha#0", "beta#0"}) {
+		t.Fatalf("runs = %v, want [alpha#0 beta#0]", runs)
+	}
+	for r, n := range rows {
+		if n > maxPoints || n < maxPoints/2 {
+			t.Fatalf("run %s wrote %d rows, want within [%d, %d]", r, n, maxPoints/2, maxPoints)
+		}
+		if last[r] < 10*ticks-10*ticks/maxPoints*2 {
+			t.Fatalf("run %s ends at cycle %d, want near %d (rows span the run)", r, last[r], 10*ticks)
+		}
 	}
 }
 
@@ -247,7 +369,6 @@ func TestDisableRowCaptureFixedMemory(t *testing.T) {
 func TestRecorderTickZeroAllocs(t *testing.T) {
 	h := NewHub(10)
 	h.EnableRecording(64)
-	h.DisableRowCapture()
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
 	c := h.Reg.Counter("unit.ops")
@@ -273,7 +394,6 @@ func TestRecorderTickZeroAllocs(t *testing.T) {
 func BenchmarkRecorderTick(b *testing.B) {
 	h := NewHub(10)
 	h.EnableRecording(DefaultRecorderPoints)
-	h.DisableRowCapture()
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
 	c := h.Reg.Counter("unit.ops")

@@ -128,9 +128,6 @@ func (w *Walker) finish(req walkReq, pa uint64, bits int, valid bool) {
 	w.kick()
 }
 
-// QueueLen returns the number of pending walks (tests).
-func (w *Walker) QueueLen() int { return w.queue.Len() }
-
 // AttachTelemetry registers the walker's metrics under <owner>.walker.*
 // (owner distinguishes the traversal unit's walker from the reclamation
 // unit's) and enables per-walk trace spans covering request to completion,

@@ -294,6 +294,3 @@ func (a *App) Roots() []heap.Ref { return a.roots }
 
 // Hot returns the hot objects (tests).
 func (a *App) Hot() []heap.Ref { return a.hot }
-
-// Chains returns the retained spine (tests).
-func (a *App) Chains() [][]heap.Ref { return a.chains }

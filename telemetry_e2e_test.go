@@ -15,11 +15,12 @@ func runInstrumented(t *testing.T) (*Telemetry, string, string, string) {
 	spec.LiveObjects /= 8
 	tel := NewTelemetry(256)
 	tel.EnableTrace()
+	tel.EnableRecording(0)
 	if _, err := RunInstrumented(cfg, spec, HWCollector, 1, 7, tel); err != nil {
 		t.Fatal(err)
 	}
 	var metrics, trace, summary bytes.Buffer
-	if err := tel.Sampler.WriteJSONL(&metrics); err != nil {
+	if err := tel.WriteSamplesJSONL(&metrics); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Trace.WriteChrome(&trace); err != nil {
@@ -53,9 +54,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 	if tel.Sampler.Len() == 0 {
-		t.Fatal("sampler recorded no rows")
+		t.Fatal("sampler took no ticks")
 	}
-	if _, vals := tel.Sampler.Series("tracer.markqueue.occupancy"); len(vals) == 0 {
+	if tel.Sampler.Recorder().Len("tracer.markqueue.occupancy") == 0 {
 		t.Fatal("no mark-queue occupancy series")
 	}
 
