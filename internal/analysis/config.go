@@ -51,6 +51,7 @@ var detCorePackages = []string{
 	"hwgc/internal/heap",
 	"hwgc/internal/mem",
 	"hwgc/internal/vmem",
+	"hwgc/internal/lru",
 	"hwgc/internal/dram",
 	"hwgc/internal/sweep",
 	"hwgc/internal/trace",

@@ -14,17 +14,23 @@ package cache
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
-// State is a set-associative tag array with LRU replacement.
+// State is a set-associative tag array with LRU replacement. Lines are
+// stored set-major in one flat slice: set s occupies lines[s*ways:][:ways].
 type State struct {
 	sets    int
 	ways    int
-	tags    [][]uint64 // per set, per way; 0 = invalid (tag stored +1)
-	dirty   [][]bool
+	lines   []line
 	lruTick uint64
-	lru     [][]uint64
 
 	Hits   uint64
 	Misses uint64
+}
+
+// line is one way of one set.
+type line struct {
+	tag   uint64 // 0 = invalid (tag stored +1)
+	lru   uint64 // tick of the last access
+	dirty bool
 }
 
 // NewState returns a cache with the given total size and associativity.
@@ -37,16 +43,7 @@ func NewState(size, ways int) *State {
 	if sets <= 0 {
 		sets = 1
 	}
-	s := &State{sets: sets, ways: ways}
-	s.tags = make([][]uint64, sets)
-	s.dirty = make([][]bool, sets)
-	s.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		s.tags[i] = make([]uint64, ways)
-		s.dirty[i] = make([]bool, ways)
-		s.lru[i] = make([]uint64, ways)
-	}
-	return s
+	return &State{sets: sets, ways: ways, lines: make([]line, sets*ways)}
 }
 
 // Sets returns the number of sets.
@@ -60,14 +57,17 @@ func (s *State) index(addr uint64) (set int, tag uint64) {
 // Access looks up addr, updating LRU and hit/miss counters. When the line
 // is absent it is inserted; the return values report whether it hit and
 // whether a dirty victim was evicted (requiring a write-back).
+//
+//hwgc:hotpath
 func (s *State) Access(addr uint64, write bool) (hit, writeback bool) {
 	set, tag := s.index(addr)
+	ways := s.lines[set*s.ways:][:s.ways]
 	s.lruTick++
-	for w := 0; w < s.ways; w++ {
-		if s.tags[set][w] == tag {
-			s.lru[set][w] = s.lruTick
+	for w := range ways {
+		if l := &ways[w]; l.tag == tag {
+			l.lru = s.lruTick
 			if write {
-				s.dirty[set][w] = true
+				l.dirty = true
 			}
 			s.Hits++
 			return true, false
@@ -77,29 +77,27 @@ func (s *State) Access(addr uint64, write bool) (hit, writeback bool) {
 	// Victim: invalid way first, else LRU.
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for w := 0; w < s.ways; w++ {
-		if s.tags[set][w] == 0 {
+	for w := range ways {
+		if ways[w].tag == 0 {
 			victim = w
-			oldest = 0
 			break
 		}
-		if s.lru[set][w] < oldest {
-			oldest = s.lru[set][w]
+		if ways[w].lru < oldest {
+			oldest = ways[w].lru
 			victim = w
 		}
 	}
-	writeback = s.tags[set][victim] != 0 && s.dirty[set][victim]
-	s.tags[set][victim] = tag
-	s.dirty[set][victim] = write
-	s.lru[set][victim] = s.lruTick
+	v := &ways[victim]
+	writeback = v.tag != 0 && v.dirty
+	*v = line{tag: tag, lru: s.lruTick, dirty: write}
 	return false, writeback
 }
 
 // Contains reports whether addr's line is present without updating state.
 func (s *State) Contains(addr uint64) bool {
 	set, tag := s.index(addr)
-	for w := 0; w < s.ways; w++ {
-		if s.tags[set][w] == tag {
+	for _, l := range s.lines[set*s.ways:][:s.ways] {
+		if l.tag == tag {
 			return true
 		}
 	}
@@ -107,17 +105,16 @@ func (s *State) Contains(addr uint64) bool {
 }
 
 // Flush invalidates the whole cache, returning the number of dirty lines
-// that would be written back.
+// that would be written back. LRU ticks are kept.
 func (s *State) Flush() int {
 	dirty := 0
-	for set := 0; set < s.sets; set++ {
-		for w := 0; w < s.ways; w++ {
-			if s.tags[set][w] != 0 && s.dirty[set][w] {
-				dirty++
-			}
-			s.tags[set][w] = 0
-			s.dirty[set][w] = false
+	for i := range s.lines {
+		l := &s.lines[i]
+		if l.tag != 0 && l.dirty {
+			dirty++
 		}
+		l.tag = 0
+		l.dirty = false
 	}
 	return dirty
 }

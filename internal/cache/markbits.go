@@ -1,16 +1,17 @@
 package cache
 
+import "hwgc/internal/lru"
+
 // MarkBits is the small mark-bit cache from the paper (Section V-C,
 // Figure 21): a fully-associative LRU filter over recently marked object
 // addresses. The paper observes that ~56 hot objects receive about 10% of
 // all mark operations, so a tiny filter removes a meaningful slice of AMO
 // traffic.
 //
-// A capacity of 0 disables the filter (every lookup misses).
+// A capacity of 0 disables the filter (every lookup misses). Entries live
+// in a dense lru.Set, so probes and evictions are O(1) and allocation-free.
 type MarkBits struct {
-	capacity int
-	slots    map[uint64]uint64 // addr -> last-use tick
-	tick     uint64
+	set *lru.Set
 
 	// Lookups counts filter probes.
 	Lookups uint64
@@ -20,38 +21,24 @@ type MarkBits struct {
 
 // NewMarkBits returns a filter holding up to capacity addresses.
 func NewMarkBits(capacity int) *MarkBits {
-	return &MarkBits{capacity: capacity, slots: make(map[uint64]uint64, capacity)}
+	return &MarkBits{set: lru.New(capacity)}
 }
 
 // Capacity returns the configured entry count.
-func (m *MarkBits) Capacity() int { return m.capacity }
+func (m *MarkBits) Capacity() int { return m.set.Cap() }
 
 // Probe checks whether addr was recently marked; on miss the address is
 // inserted (evicting the least recently used entry when full). It returns
 // true when the mark request can be elided.
+//
+//hwgc:hotpath
 func (m *MarkBits) Probe(addr uint64) bool {
 	m.Lookups++
-	if m.capacity == 0 {
-		return false
-	}
-	m.tick++
-	if _, ok := m.slots[addr]; ok {
-		m.slots[addr] = m.tick
+	if _, ok := m.set.Get(addr); ok {
 		m.Hits++
 		return true
 	}
-	if len(m.slots) >= m.capacity {
-		var lruAddr uint64
-		lru := ^uint64(0)
-		for a, t := range m.slots {
-			if t < lru {
-				lru = t
-				lruAddr = a
-			}
-		}
-		delete(m.slots, lruAddr)
-	}
-	m.slots[addr] = m.tick
+	m.set.Insert(addr)
 	return false
 }
 
@@ -65,8 +52,7 @@ func (m *MarkBits) HitRate() float64 {
 
 // Reset clears contents and counters.
 func (m *MarkBits) Reset() {
-	m.slots = make(map[uint64]uint64, m.capacity)
-	m.tick = 0
+	m.set.Clear()
 	m.Lookups = 0
 	m.Hits = 0
 }

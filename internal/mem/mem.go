@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the physical page granule of the sparse store. It matches the
@@ -34,22 +35,28 @@ type page struct {
 // Physical is a sparse physical memory of a fixed capacity. Accesses beyond
 // the capacity panic: they indicate a simulator bug, not a recoverable
 // condition.
+//
+// The page index is dense: pages[n] is page n (nil while untouched). It
+// grows geometrically to cover the highest page written so far, never to
+// the full capacity, so an index costs one pointer per page below the
+// high-water mark and a Clone copies just that prefix.
 type Physical struct {
-	size  uint64
-	pages map[uint64]*page
-	slab  []page
+	size    uint64
+	pages   []*page
+	touched int // non-nil entries of pages
+	slab    []page
 }
 
 // New returns a physical memory with the given capacity in bytes.
 func New(size uint64) *Physical {
-	return &Physical{size: size, pages: make(map[uint64]*page)}
+	return &Physical{size: size}
 }
 
 // Size returns the configured capacity in bytes.
 func (m *Physical) Size() uint64 { return m.size }
 
 // Pages returns the number of physical pages that have been touched.
-func (m *Physical) Pages() int { return len(m.pages) }
+func (m *Physical) Pages() int { return m.touched }
 
 func (m *Physical) newPage() *page {
 	if len(m.slab) == 0 {
@@ -62,14 +69,17 @@ func (m *Physical) newPage() *page {
 
 func (m *Physical) checkBounds(pa uint64) {
 	if pa >= m.size {
-		panic(fmt.Sprintf("mem: physical access 0x%x beyond capacity 0x%x", pa, m.size))
+		panic(boundsError{pa: pa, size: m.size})
 	}
 }
 
 // page returns the page covering pa for reading, or nil if untouched.
 func (m *Physical) page(pa uint64) *page {
 	m.checkBounds(pa)
-	return m.pages[pa/PageSize]
+	if idx := pa / PageSize; idx < uint64(len(m.pages)) {
+		return m.pages[idx]
+	}
+	return nil
 }
 
 // writablePage returns the page covering pa for writing, creating it if
@@ -77,11 +87,15 @@ func (m *Physical) page(pa uint64) *page {
 func (m *Physical) writablePage(pa uint64) *page {
 	m.checkBounds(pa)
 	idx := pa / PageSize
+	if idx >= uint64(len(m.pages)) {
+		m.pages = append(m.pages, make([]*page, idx+1-uint64(len(m.pages)))...)
+	}
 	p := m.pages[idx]
 	switch {
 	case p == nil:
 		p = m.newPage()
 		m.pages[idx] = p
+		m.touched++
 	case p.frozen:
 		np := m.newPage()
 		np.data = p.data
@@ -94,43 +108,42 @@ func (m *Physical) writablePage(pa uint64) *page {
 // Snapshot freezes the current contents and returns an immutable image of
 // them. The receiver stays usable: its pages become copy-on-write, so later
 // writes through it (or through any Clone) never alter the snapshot.
-// Snapshotting is O(touched pages) and copies no page data.
+// Snapshotting copies the page index but no page data.
 func (m *Physical) Snapshot() *Snapshot {
-	pages := make(map[uint64]*page, len(m.pages))
-	for idx, p := range m.pages {
-		p.frozen = true
-		pages[idx] = p
+	for _, p := range m.pages {
+		if p != nil {
+			p.frozen = true
+		}
 	}
-	return &Snapshot{size: m.size, pages: pages}
+	return &Snapshot{size: m.size, pages: slices.Clone(m.pages), touched: m.touched}
 }
 
 // Snapshot is an immutable heap image: a frozen page index that any number
 // of Physical clones share. It is safe for concurrent Clone calls once
 // built.
 type Snapshot struct {
-	size  uint64
-	pages map[uint64]*page
+	size    uint64
+	pages   []*page
+	touched int
 }
 
 // Size returns the capacity of the captured memory in bytes.
 func (s *Snapshot) Size() uint64 { return s.size }
 
 // Pages returns the number of pages the snapshot holds.
-func (s *Snapshot) Pages() int { return len(s.pages) }
+func (s *Snapshot) Pages() int { return s.touched }
 
 // Clone returns a new Physical backed by the snapshot's frozen pages.
 // Reads hit the shared pages directly; the first write to a page copies it
 // into the clone, so mutations never leak into the snapshot or into
-// sibling clones. Cloning is O(pages) and copies no page data.
+// sibling clones. Cloning copies the page index but no page data.
 func (s *Snapshot) Clone() *Physical {
-	pages := make(map[uint64]*page, len(s.pages))
-	for idx, p := range s.pages {
-		pages[idx] = p
-	}
-	return &Physical{size: s.size, pages: pages}
+	return &Physical{size: s.size, pages: slices.Clone(s.pages), touched: s.touched}
 }
 
 // Load64 reads the 64-bit word at pa. pa must be 8-byte aligned.
+//
+//hwgc:hotpath
 func (m *Physical) Load64(pa uint64) uint64 {
 	checkAlign(pa, 8)
 	p := m.page(pa)
@@ -142,6 +155,8 @@ func (m *Physical) Load64(pa uint64) uint64 {
 }
 
 // Store64 writes the 64-bit word v at pa. pa must be 8-byte aligned.
+//
+//hwgc:hotpath
 func (m *Physical) Store64(pa, v uint64) {
 	checkAlign(pa, 8)
 	p := m.writablePage(pa)
@@ -172,6 +187,8 @@ func (m *Physical) Store32(pa uint64, v uint32) {
 // previous value. This is the single-AMO mark operation from the paper:
 // the marker sets the mark bit and receives the old status word (mark bit
 // plus #REFS) in one memory round trip.
+//
+//hwgc:hotpath
 func (m *Physical) FetchOr64(pa, bits uint64) uint64 {
 	old := m.Load64(pa)
 	m.Store64(pa, old|bits)
@@ -182,6 +199,8 @@ func (m *Physical) FetchOr64(pa, bits uint64) uint64 {
 // previous value. Together with FetchOr64 it lets the marker set or clear
 // the mark bit depending on the current mark-bit polarity (the mark sense
 // flips every collection so that sweeping never has to clear mark bits).
+//
+//hwgc:hotpath
 func (m *Physical) FetchAnd64(pa, bits uint64) uint64 {
 	old := m.Load64(pa)
 	m.Store64(pa, old&bits)
@@ -227,8 +246,23 @@ func (m *Physical) Write(pa uint64, buf []byte) {
 
 func checkAlign(pa uint64, n uint64) {
 	if pa%n != 0 {
-		panic(fmt.Sprintf("mem: misaligned %d-byte access at 0x%x", n, pa))
+		panic(alignError{pa: pa, n: n})
 	}
+}
+
+// boundsError and alignError are the panic values of a bad access. They
+// format their message only when the panic is printed or recovered, so the
+// access path itself never formats.
+type boundsError struct{ pa, size uint64 }
+
+func (e boundsError) Error() string {
+	return fmt.Sprintf("mem: physical access 0x%x beyond capacity 0x%x", e.pa, e.size)
+}
+
+type alignError struct{ pa, n uint64 }
+
+func (e alignError) Error() string {
+	return fmt.Sprintf("mem: misaligned %d-byte access at 0x%x", e.n, e.pa)
 }
 
 // Region is a contiguous physical address range handed out by Arena.

@@ -75,9 +75,9 @@ func TestSnapshotCloneBulkWrite(t *testing.T) {
 	}
 }
 
-// TestSnapshotCounts pins the cost model: snapshots and clones are
-// O(touched pages) index copies, and a clone's page count only grows when
-// it writes to new pages.
+// TestSnapshotCounts pins the cost model: snapshots and clones copy the
+// page index but share page data, and a clone's page count only grows
+// when it writes to new pages.
 func TestSnapshotCounts(t *testing.T) {
 	m := New(1 << 20)
 	for i := 0; i < 5; i++ {

@@ -10,7 +10,7 @@
 #   scripts/bench.sh /tmp/out.json  # appends elsewhere
 #
 # Each line is a self-contained JSON object:
-#   {"git_sha": "...", "date": "YYYY-MM-DD", "host": "...", "cpus": N,
+#   {"git_sha": "...[-dirty]", "date": "YYYY-MM-DD", "host": "...", "cpus": N,
 #    "benchmarks": [{"name": ..., "gomaxprocs": ..., "iters": ...,
 #                    "ns_per_op": ..., "bytes_per_op": ...,
 #                    "allocs_per_op": ...}, ...]}
@@ -27,6 +27,10 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+# A line measured on uncommitted changes must not pass for HEAD's numbers.
+if [ "$sha" != unknown ] && ! git diff --quiet HEAD -- . ':!BENCH_host.json' 2>/dev/null; then
+    sha="$sha-dirty"
+fi
 date="$(date -u +%Y-%m-%d)"
 ncpu="$(nproc 2>/dev/null || echo 1)"
 
