@@ -101,12 +101,12 @@ func main() {
 
 	// The default hub instruments every system the experiment runners build
 	// internally; samples and events accumulate across all experiments. The
-	// synchronized hub forks a private child per simulation, so the fleet
-	// keeps its full parallel width.
+	// hub forks a private child per simulation, so the fleet keeps its full
+	// parallel width.
 	record := *recordSeries || *reportOut != ""
 	var tel *hwgc.Telemetry
 	if *metricsOut != "" || *traceOut != "" || record {
-		tel = hwgc.NewSyncTelemetry(*sampleEvery)
+		tel = hwgc.NewTelemetry(*sampleEvery)
 		if *traceOut != "" {
 			tel.EnableTrace()
 		}

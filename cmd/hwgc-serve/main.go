@@ -113,13 +113,11 @@ func main() {
 		}
 	}
 
-	// A synchronized hub lets every concurrently running simulation attach
-	// (each forks a private child), so jobs keep the fleet's full parallel
-	// width and /v1/metrics merges service, cache, and simulation metrics.
-	// It never records time series, so its sampler (default interval) only
-	// paces the progress heartbeat.
+	// The hub carries service, cache, and cluster metrics only. It is not
+	// the process default: served jobs run uninstrumented, so a finished
+	// job's simulated system is not kept alive by a per-run child hub, and
+	// /metrics never reads counters a running job is writing.
 	hub := telemetry.NewSyncHub(0)
-	telemetry.SetDefault(hub)
 
 	svcCfg := service.Config{
 		Workers:        *workers,

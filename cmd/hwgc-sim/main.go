@@ -103,13 +103,13 @@ func main() {
 		kind = core.SWCollector
 	}
 
-	// The synchronized hub forks a private child per benchmark run, so
-	// telemetry output composes with a parallel -run sweep.
+	// The hub forks a private child per benchmark run, so telemetry output
+	// composes with a parallel -run sweep.
 	record := *recordSeries || *reportOut != ""
 	var tel *hwgc.Telemetry
 	width := *parallel
 	if *metricsOut != "" || *traceOut != "" || record {
-		tel = hwgc.NewSyncTelemetry(*sampleEvery)
+		tel = hwgc.NewTelemetry(*sampleEvery)
 		if *traceOut != "" {
 			tel.EnableTrace()
 		}
@@ -264,8 +264,8 @@ func runOne(w io.Writer, cfg hwgc.Config, spec workload.Spec, kind core.Collecto
 	if err != nil {
 		return core.AppResult{}, err
 	}
-	// ForRun forks a private child on the synchronized hub so parallel
-	// sweeps never share mutable telemetry state (plain hubs pass through).
+	// ForRun forks a private child so parallel sweeps never share mutable
+	// telemetry state.
 	runner.AttachTelemetry(tel.ForRun(spec.Name))
 	runner.Validate = validate
 	fmt.Fprintf(w, "%s on %s, %d collections (memory=%s)\n", kind, spec.Name, gcs, memory)

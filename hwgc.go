@@ -80,16 +80,13 @@ type Telemetry = telemetry.Hub
 // NewTelemetry returns a hub whose sampler ticks every sampleEvery cycles
 // (0 picks the default interval). Call EnableRecording on the result to
 // keep bounded time series (what WriteSamplesJSONL writes) and EnableTrace
-// to also record structured events.
-func NewTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewHub(sampleEvery) }
-
-// NewSyncTelemetry returns a synchronized hub: safe to install as the
-// process default while simulations run concurrently, so instrumented
-// fleet runs keep their full parallel width. Each simulation forks a
-// private child hub internally; the hub's WriteSummary /
-// WriteSamplesJSONL / WriteTraceChrome methods merge them back together
-// (WriteSamplesJSONL tags each run's recorded series with its run name).
-func NewSyncTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewSyncHub(sampleEvery) }
+// to also record structured events. The hub is safe to install as the
+// process default while simulations run concurrently: each simulation
+// forks a private child hub, and the hub's WriteSummary /
+// WriteSamplesJSONL / WriteTraceChrome methods merge them back together,
+// tagging each run's output with its run name ("main" for a system
+// attached to the hub itself, as RunInstrumented does).
+func NewTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewSyncHub(sampleEvery) }
 
 // SetDefaultTelemetry installs tel as the process-wide default hub: every
 // collector system built afterwards (including the ones experiment runners
@@ -142,9 +139,7 @@ type ExperimentResult = experiments.Result
 // RunFleet executes runners with up to parallel workers (0 means
 // GOMAXPROCS) and returns one result per runner in the given order.
 // Reports are byte-identical to a serial run at any width; see
-// docs/PERFORMANCE.md for the determinism contract. The fan-out degrades
-// to serial only while a plain (non-synchronized) default telemetry hub is
-// installed; NewSyncTelemetry hubs keep the full width.
+// docs/PERFORMANCE.md for the determinism contract.
 func RunFleet(runners []experiments.Runner, o Options, parallel int) []ExperimentResult {
 	return experiments.RunFleet(runners, o, parallel)
 }

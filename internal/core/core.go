@@ -398,12 +398,9 @@ func NewAppRunner(cfg Config, spec workload.Spec, kind CollectorKind, seed uint6
 	} else {
 		r.SW = NewSW(cfg, sys)
 	}
-	// A process-default hub (hwgc-bench -metrics-out, hwgc-serve)
-	// instruments every runner it builds. A synchronized hub forks a
-	// private per-run child here, so concurrent runners never share
-	// mutable telemetry state; a plain hub attaches directly (the latest
-	// runner's callbacks win in the registry, and the fleet keeps such
-	// runs serial).
+	// A process-default hub (hwgc-bench -metrics-out) instruments every
+	// runner it builds. It forks a private per-run child here, so
+	// concurrent runners never share mutable telemetry state.
 	short := "sw"
 	if kind == HWCollector {
 		short = "hw"

@@ -110,9 +110,9 @@ type Timeseries struct {
 	Runs        []RunSeries `json:"runs"`
 }
 
-// RunSeries is one run's recorded series. Run is empty for a single-run
-// (plain hub) manifest; under a fleet it is the run's merged-output name
-// ("main" or "bench/side#seq").
+// RunSeries is one run's recorded series. Run is the run's merged-output
+// name ("main" or "bench/side#seq"); it may be empty in manifests written
+// before every hub named its runs.
 type RunSeries struct {
 	Run    string   `json:"run,omitempty"`
 	Series []Series `json:"series"`
@@ -231,7 +231,7 @@ func NewManifest(tool string, sc Scale) *Manifest {
 
 // SnapshotTelemetry flattens a hub's registry snapshot into the manifest.
 // Counters, counter funcs, gauges, and rates store their value; histograms
-// store count, mean, and the p50/p90/p99 quantiles under suffixed names.
+// store .count, .mean, .p50, and .p99 under suffixed names.
 func (m *Manifest) SnapshotTelemetry(h *telemetry.Hub) {
 	if h == nil {
 		return

@@ -140,7 +140,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	m2.CreatedAt = m1.CreatedAt.Add(time.Second)
 	m2.Tool = "hwgc-sim"
 	m1.SnapshotTelemetry(func() *telemetry.Hub {
-		h := telemetry.NewHub(0)
+		h := telemetry.NewSyncHub(0)
 		h.Reg.Counter("test.counter").Add(7)
 		h.Reg.Histogram("test.hist").Observe(4)
 		return h
@@ -213,7 +213,7 @@ func TestDiffRanksRegressions(t *testing.T) {
 // timeseries section and survives the write/read cycle intact — parallel
 // cycle/value arrays, schema version, run names.
 func TestTimeseriesRoundTrip(t *testing.T) {
-	h := telemetry.NewHub(10)
+	h := telemetry.NewSyncHub(10)
 	h.EnableRecording(32)
 	g := 0.0
 	h.Reg.Gauge("unit.occ", func() float64 { return g })
@@ -267,7 +267,7 @@ func TestTimeseriesRoundTrip(t *testing.T) {
 
 	// A recording-free hub leaves the section absent entirely.
 	m2 := midBandManifest(false)
-	m2.SnapshotTimeseries(telemetry.NewHub(0))
+	m2.SnapshotTimeseries(telemetry.NewSyncHub(0))
 	if m2.Timeseries != nil {
 		t.Fatalf("unrecorded hub produced a timeseries section: %+v", m2.Timeseries)
 	}

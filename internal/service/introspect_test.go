@@ -12,6 +12,7 @@ import (
 	"hwgc/internal/experiments"
 	"hwgc/internal/ledger"
 	"hwgc/internal/resultcache"
+	"hwgc/internal/telemetry"
 )
 
 // beatRunner drives the job's progress heartbeat the way a real simulation
@@ -126,6 +127,44 @@ func TestMetricsEndpointsAlwaysOn(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestMetricsScrapeDuringRunningJob scrapes both metrics endpoints in a
+// loop while a real simulation runs, wired as hwgc-serve wires it: the hub
+// is passed in Config and no process-default hub is installed, so the job
+// runs uninstrumented. Under -race this proves a scrape never reads state
+// the running job writes.
+func TestMetricsScrapeDuringRunningJob(t *testing.T) {
+	if telemetry.Default() != nil {
+		t.Fatal("test requires no default hub installed")
+	}
+	hub := telemetry.NewSyncHub(0)
+	s := New(Config{Workers: 1, Hub: hub})
+	defer drain(t, s)
+	srv := httptest.NewServer(NewHandler(s, hub))
+	defer srv.Close()
+
+	job, err := s.Submit("abl-layout", experiments.Options{GCs: 1, Seed: 42, Quick: true, Shrink: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, job.ID(), StateRunning)
+	scrapes := 0
+	for done := false; !done; {
+		select {
+		case <-job.Done():
+			done = true
+		default:
+		}
+		for _, path := range []string{"/metrics", "/v1/metrics"} {
+			get(t, srv.URL+path, http.StatusOK)
+		}
+		scrapes++
+	}
+	if v, _ := s.View(job.ID()); v.State != StateSucceeded {
+		t.Fatalf("job state = %s (%s), want succeeded", v.State, v.Error)
+	}
+	t.Logf("%d scrape rounds during the job", scrapes)
 }
 
 func TestProgressEndpoint(t *testing.T) {

@@ -74,8 +74,8 @@ type Config struct {
 	Cache *resultcache.Cache
 	// Hub, when set, receives service metrics (queue depth, job counters,
 	// latency) and the cache's counters on its registry. When nil the
-	// scheduler creates a private synchronized hub, so service metrics —
-	// and the introspection endpoints built on them — are always on.
+	// scheduler creates a private hub, so service metrics — and the
+	// introspection endpoints built on them — are always on.
 	Hub *telemetry.Hub
 	// Ledger, when set, receives one run manifest per finished job, so a
 	// served fleet leaves the same durable trail as a hwgc-bench run.
@@ -252,8 +252,8 @@ func New(cfg Config) *Scheduler {
 	}
 	sort.Strings(s.ids)
 	// Service metrics are always on: without a caller-supplied hub the
-	// scheduler owns a synchronized one (safe to snapshot while jobs run),
-	// so the metrics endpoints never have nothing to say.
+	// scheduler owns one, so the metrics endpoints never have nothing to
+	// say.
 	s.hub = cfg.Hub
 	if s.hub == nil {
 		s.hub = telemetry.NewSyncHub(0)
@@ -267,7 +267,7 @@ func New(cfg Config) *Scheduler {
 }
 
 // Hub returns the scheduler's telemetry hub: cfg.Hub when one was supplied,
-// otherwise the scheduler's own always-on synchronized hub. Never nil.
+// otherwise the scheduler's own always-on hub. Never nil.
 func (s *Scheduler) Hub() *telemetry.Hub { return s.hub }
 
 // ExperimentIDs returns the served runner IDs, sorted.

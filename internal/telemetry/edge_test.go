@@ -93,10 +93,10 @@ func TestSampleQuantileAndCDFEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSyncHubSnapshotDeterministicUnderConcurrentForks drives a
-// synchronized hub the way a parallel fleet does — N goroutines forking
-// children and recording concurrently — and asserts the folded snapshot is
-// byte-identical to a serial run's. Run under -race this also proves the
+// TestSyncHubSnapshotDeterministicUnderConcurrentForks drives a hub the
+// way a parallel fleet does — N goroutines forking children and recording
+// concurrently — and asserts the folded snapshot is byte-identical to a
+// serial run's. Run under -race this also proves the
 // fork/fold paths are race-free.
 func TestSyncHubSnapshotDeterministicUnderConcurrentForks(t *testing.T) {
 	const runs = 16
@@ -221,7 +221,7 @@ func TestPrometheusName(t *testing.T) {
 // metacharacters (newlines, backslashes, braces) must neither break the
 // line-oriented format nor leak unescaped into HELP text.
 func TestWritePrometheusHostileNames(t *testing.T) {
-	h := NewHub(0)
+	h := NewSyncHub(0)
 	h.Reg.Counter("evil\nname{with=\"quotes\"}\\and\\slashes").Add(1)
 
 	var b bytes.Buffer
@@ -256,7 +256,7 @@ func TestWritePrometheusHostileNames(t *testing.T) {
 // registry metrics, so truncated traces and silent samplers show up in
 // every summary and on /metrics.
 func TestTracerAndSamplerSelfMetrics(t *testing.T) {
-	h := NewHub(0)
+	h := NewSyncHub(0)
 	if v, ok := h.Reg.Value("telemetry.sampler.samples"); !ok || v != 0 {
 		t.Fatalf("sampler.samples = %v,%v want 0,true", v, ok)
 	}

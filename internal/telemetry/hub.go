@@ -13,79 +13,55 @@ import (
 // units: the metrics registry, the cycle sampler over it, and (optionally)
 // the structured event tracer. A nil *Hub disables everything.
 //
-// A hub comes in two flavours:
-//
-//   - A plain hub (NewHub) is single-threaded: one simulation at a time
-//     records into it, and the hot paths pay no synchronization.
-//   - A synchronized hub (NewSyncHub) may be installed as the process
-//     default while simulations run concurrently. It never shares mutable
-//     telemetry state between runs; instead every run forks a private child
-//     hub via ForRun, and the aggregate view (Snapshot, WriteSummary,
-//     WriteSamplesJSONL, WriteTraceChrome) folds the children back
-//     together. Recording therefore stays as cheap as the plain hub.
+// A hub may be installed as the process default while simulations run
+// concurrently. It never shares mutable telemetry state between runs:
+// every run forks a private child hub via ForRun, and the aggregate view
+// (Snapshot, WriteSummary, WriteSamplesJSONL, WriteTraceChrome) folds the
+// children back together, so recording pays no synchronization. Units
+// attached to the hub itself (one run at a time) report as run "main".
 type Hub struct {
 	Reg     *Registry
 	Sampler *Sampler
 	Trace   *Tracer
 
-	// sync is non-nil for synchronized hubs (NewSyncHub).
-	sync *syncState
-}
-
-// syncState is the bookkeeping of a synchronized hub: the forked per-run
-// children and the settings new children inherit.
-type syncState struct {
-	sampleEvery uint64
-
+	// Settings children inherit, and the forked children.
 	mu           sync.Mutex
 	trace        bool
 	record       bool // children record bounded time series
 	recordPoints int
 	perLabel     map[string]int
-	children     []syncChild
+	children     []child
 }
 
-// syncChild is one forked per-run hub. seq numbers children that share a
-// label in fork order, so merged sampler/trace output has stable names.
-type syncChild struct {
+// child is one forked per-run hub. seq numbers children that share a label
+// in fork order, so merged sampler/trace output has stable names.
+type child struct {
 	label string
 	seq   int
 	hub   *Hub
 }
 
 // name returns the child's unique run name ("xalan/hw#2").
-func (c syncChild) name() string { return c.label + "#" + strconv.Itoa(c.seq) }
+func (c child) name() string { return c.label + "#" + strconv.Itoa(c.seq) }
 
-// NewHub returns a plain (single-threaded) hub with a registry and a
-// sampler at the given interval (0 = default 1024 cycles). Event tracing is
-// off until EnableTrace.
-func NewHub(sampleEvery uint64) *Hub {
+// NewSyncHub returns a hub with a registry and a sampler at the given
+// interval (0 = default 1024 cycles). Event tracing is off until
+// EnableTrace. Its own registry (Reg) also serves coordinator-level
+// metrics — counters are atomic, and gauge/histogram users must bring
+// their own locking (see the service package). Concurrent simulation runs
+// must attach through ForRun.
+func NewSyncHub(sampleEvery uint64) *Hub {
 	reg := NewRegistry()
 	s := NewSampler(reg, sampleEvery)
 	// Sampling volume is part of every summary, so a run that recorded no
 	// series (probe never hooked, interval too coarse) is visible at a
 	// glance rather than silently empty.
 	reg.CounterFunc("telemetry.sampler.samples", func() uint64 { return uint64(s.Len()) })
-	return &Hub{Reg: reg, Sampler: s}
+	return &Hub{Reg: reg, Sampler: s, perLabel: make(map[string]int)}
 }
 
-// NewSyncHub returns a synchronized hub: safe to install as the process
-// default while simulations run concurrently. Its own registry (Reg) is for
-// coordinator-level metrics — counters are atomic, and gauge/histogram
-// users must bring their own locking (see the service package). Simulation
-// runs must attach through ForRun.
-func NewSyncHub(sampleEvery uint64) *Hub {
-	h := NewHub(sampleEvery)
-	h.sync = &syncState{sampleEvery: sampleEvery, perLabel: make(map[string]int)}
-	return h
-}
-
-// Synchronized reports whether the hub tolerates concurrent runs (it was
-// created by NewSyncHub). False for nil and plain hubs.
-func (h *Hub) Synchronized() bool { return h != nil && h.sync != nil }
-
-// EnableTrace turns on structured event tracing and returns the tracer. On
-// a synchronized hub, children forked afterwards record traces too.
+// EnableTrace turns on structured event tracing and returns the tracer.
+// Children forked afterwards record traces too.
 func (h *Hub) EnableTrace() *Tracer {
 	if h.Trace == nil {
 		h.Trace = NewTracer()
@@ -96,44 +72,33 @@ func (h *Hub) EnableTrace() *Tracer {
 		h.Reg.CounterFunc("telemetry.trace.events", func() uint64 { return uint64(len(t.Events())) })
 		h.Reg.CounterFunc("telemetry.trace.dropped", t.Dropped)
 	}
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.trace = true
-		h.sync.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.trace = true
+	h.mu.Unlock()
 	return h.Trace
 }
 
 // EnableRecording turns on bounded time-series recording (off by default):
 // every probe tick folds into at most maxPoints retained points per metric
-// (0 = DefaultRecorderPoints). On a synchronized hub, children forked
-// afterwards record too. Idempotent.
+// (0 = DefaultRecorderPoints). Children forked afterwards record too.
+// Idempotent.
 func (h *Hub) EnableRecording(maxPoints int) {
 	if h == nil {
 		return
 	}
 	h.Sampler.enableRecording(maxPoints)
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.record = true
-		h.sync.recordPoints = maxPoints
-		h.sync.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.record = true
+	h.recordPoints = maxPoints
+	h.mu.Unlock()
 }
 
-// RecordedSeries returns every run's recorded time series. A plain hub
-// yields at most one entry with an empty run name; a synchronized hub
-// yields its own series as "main" plus one entry per child, in (label, fork
-// sequence) order. Runs and series that recorded nothing are omitted. Call
-// after workers join, like Snapshot.
+// RecordedSeries returns every run's recorded time series: the hub's own
+// series as "main", then one entry per child, in (label, fork sequence)
+// order. Runs and series that recorded nothing are omitted. Call after
+// workers join, like Snapshot.
 func (h *Hub) RecordedSeries() []RunSeries {
 	if h == nil {
-		return nil
-	}
-	if h.sync == nil {
-		if sd := h.Sampler.Recorder().Series(); len(sd) > 0 {
-			return []RunSeries{{Series: sd}}
-		}
 		return nil
 	}
 	var out []RunSeries
@@ -148,39 +113,36 @@ func (h *Hub) RecordedSeries() []RunSeries {
 	return out
 }
 
-// ForRun returns the hub one simulation run should attach to. For nil and
-// plain hubs that is the hub itself (the single-threaded contract is the
-// caller's problem, as before). For a synchronized hub it forks a private
-// child — own registry, sampler, and tracer — so the run's hot paths stay
-// unsynchronized no matter how many runs record concurrently. The label
-// groups the run in merged sampler/trace output; children sharing a label
-// are numbered in fork order.
+// ForRun forks the private child hub one simulation run should attach to
+// (nil for a nil hub): its own registry, sampler, and tracer, so the run's
+// hot paths stay unsynchronized no matter how many runs record
+// concurrently. The label groups the run in merged sampler/trace output;
+// children sharing a label are numbered in fork order.
 func (h *Hub) ForRun(label string) *Hub {
-	if h == nil || h.sync == nil {
-		return h
+	if h == nil {
+		return nil
 	}
-	s := h.sync
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := NewHub(s.sampleEvery)
-	if s.trace {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c := NewSyncHub(h.Sampler.Every)
+	if h.trace {
 		c.EnableTrace()
 	}
-	if s.record {
-		c.Sampler.enableRecording(s.recordPoints)
+	if h.record {
+		c.Sampler.enableRecording(h.recordPoints)
 	}
-	s.children = append(s.children, syncChild{label: label, seq: s.perLabel[label], hub: c})
-	s.perLabel[label]++
+	h.children = append(h.children, child{label: label, seq: h.perLabel[label], hub: c})
+	h.perLabel[label]++
 	return c
 }
 
 // sortedChildren snapshots the child list ordered by (label, seq) — the
 // canonical order for merged output. Within a label, seq follows fork
 // order, which equals submission order on a serial run.
-func (h *Hub) sortedChildren() []syncChild {
-	h.sync.mu.Lock()
-	out := append([]syncChild(nil), h.sync.children...)
-	h.sync.mu.Unlock()
+func (h *Hub) sortedChildren() []child {
+	h.mu.Lock()
+	out := append([]child(nil), h.children...)
+	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].label != out[j].label {
 			return out[i].label < out[j].label
@@ -190,20 +152,17 @@ func (h *Hub) sortedChildren() []syncChild {
 	return out
 }
 
-// Snapshot returns the hub's aggregate registry. For nil and plain hubs it
-// is the registry itself. For a synchronized hub it is a fresh registry
-// folding the hub's own metrics and every forked child: counters, rates,
-// and histograms are summed, and counter-func/gauge callbacks are evaluated
-// and summed. Summation is commutative, so the aggregate does not depend on
-// run completion order — a parallel fleet's summary is byte-identical to a
-// serial one. Do not call while runs are still recording into children
-// (callers snapshot after their workers join).
+// Snapshot returns the hub's aggregate registry (nil for a nil hub): a
+// fresh registry folding the hub's own metrics and every forked child.
+// Counters, rates, and histograms are summed, and counter-func/gauge
+// callbacks are evaluated and summed. Summation is commutative, so the
+// aggregate does not depend on run completion order — a parallel fleet's
+// summary is byte-identical to a serial one. Do not call while runs are
+// still recording into children (callers snapshot after their workers
+// join).
 func (h *Hub) Snapshot() *Registry {
-	if h == nil || h.sync == nil {
-		if h == nil {
-			return nil
-		}
-		return h.Reg
+	if h == nil {
+		return nil
 	}
 	out := NewRegistry()
 	fold(out, h.Reg)
@@ -250,8 +209,8 @@ func fold(dst, src *Registry) {
 	}
 }
 
-// WriteSummary writes the end-of-run metric summary (the aggregate view for
-// a synchronized hub). Nil-safe.
+// WriteSummary writes the end-of-run metric summary of the aggregate view.
+// Nil-safe.
 func (h *Hub) WriteSummary(w io.Writer) error { return h.Snapshot().WriteSummary(w) }
 
 // WriteSamplesJSONL writes every run's recorded time series (see
@@ -264,10 +223,9 @@ func (h *Hub) WriteSummary(w io.Writer) error { return h.Snapshot().WriteSummary
 // deterministic float formatting, so identical runs write identical bytes.
 // A run whose metrics all registered before its first tick (every
 // simulated system) shares one cycle grid, so it writes at most the
-// recorder's point bound of rows. A plain hub's rows carry no "run" field;
-// a synchronized hub tags every row with its run name, runs ordered as in
-// RecordedSeries. At fleet width 1 that order is canonical; at higher
-// widths runs sharing a label may permute (their contents stay
+// recorder's point bound of rows. Every row carries its run name, runs
+// ordered as in RecordedSeries. At fleet width 1 that order is canonical;
+// at higher widths runs sharing a label may permute (their contents stay
 // deterministic). Writes nothing when recording is off.
 func (h *Hub) WriteSamplesJSONL(w io.Writer) error {
 	_, err := h.writeSamples(w)
@@ -286,10 +244,7 @@ func (h *Hub) SampleCount() int {
 func (h *Hub) writeSamples(w io.Writer) (int, error) {
 	rows := 0
 	for _, r := range h.RecordedSeries() {
-		prefix := ""
-		if r.Run != "" {
-			prefix = `"run":` + strconv.Quote(r.Run) + `,`
-		}
+		prefix := `"run":` + strconv.Quote(r.Run) + `,`
 		next := make([]int, len(r.Series)) // per-series cursor
 		for {
 			cycle, ok := uint64(0), false
@@ -324,15 +279,11 @@ func (h *Hub) writeSamples(w io.Writer) (int, error) {
 }
 
 // WriteTraceChrome writes the recorded trace events in Chrome trace_event
-// format. A plain hub's output is unchanged from Tracer.WriteChrome; a
-// synchronized hub writes each run as its own process (pid), named after
-// the run, in (label, fork sequence) order.
+// format, each run as its own process (pid) named after the run: "main"
+// first, then the children in (label, fork sequence) order.
 func (h *Hub) WriteTraceChrome(w io.Writer) error {
 	if h == nil {
 		return nil
-	}
-	if h.sync == nil {
-		return h.Trace.WriteChrome(w)
 	}
 	var parts []tracePart
 	if h.Trace != nil && len(h.Trace.Events()) > 0 {
@@ -347,16 +298,14 @@ func (h *Hub) WriteTraceChrome(w io.Writer) error {
 }
 
 // TraceEventCount returns the total number of recorded trace events across
-// the hub and (for a synchronized hub) all forked children.
+// the hub and all forked children.
 func (h *Hub) TraceEventCount() int {
 	if h == nil {
 		return 0
 	}
 	n := len(h.Trace.Events())
-	if h.sync != nil {
-		for _, c := range h.sortedChildren() {
-			n += len(c.hub.Trace.Events())
-		}
+	for _, c := range h.sortedChildren() {
+		n += len(c.hub.Trace.Events())
 	}
 	return n
 }
@@ -380,14 +329,12 @@ func (h *Hub) Registry() *Registry {
 }
 
 // def is the process-wide default hub, picked up by core.NewAppRunner so
-// whole-program tools (hwgc-bench, hwgc-serve) can instrument every system
-// they build without plumbing a hub through each experiment. The pointer is
-// stored atomically, so installing/reading the default is race-free. A
-// plain hub's surfaces are NOT — while one is installed, only one
-// simulation may run at a time, and the experiment fleet enforces that by
-// collapsing its worker width to 1 (see experiments.Width). A synchronized
-// hub (NewSyncHub) lifts that restriction: runners fork private children
-// via ForRun, so the fleet keeps its full width.
+// a whole-program tool (hwgc-bench) can instrument every system it builds
+// without plumbing a hub through each experiment. The pointer is stored
+// atomically, so installing/reading the default is race-free, and runners
+// fork private children via ForRun, so the fleet keeps its full width.
+// Every fork lives as long as the hub: a long-lived process that runs
+// unbounded work (hwgc-serve) installs no default.
 var def atomic.Pointer[Hub]
 
 // SetDefault installs (or, with nil, clears) the process default hub.

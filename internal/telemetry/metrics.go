@@ -31,9 +31,9 @@ import (
 // Counter is a monotonically increasing count (requests issued, objects
 // marked). All methods are nil-safe no-ops so disabled units can hold a nil
 // counter. Updates are atomic, so one counter instance may be shared by
-// concurrent writers (the synchronized hub and the simulation service rely
-// on this); the other metric kinds stay unsynchronized and need external
-// locking or per-goroutine instances for concurrent use.
+// concurrent writers (the simulation service relies on this); the other
+// metric kinds stay unsynchronized and need external locking or
+// per-goroutine instances for concurrent use.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds 1.
@@ -143,9 +143,9 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Merge folds o's observations into h (bucket-wise sums; max of maxes).
-// Used when per-run histograms from a synchronized hub's children are
-// aggregated; merging is commutative, so the aggregate is independent of
-// run completion order. Nil-safe on both sides.
+// Used when per-run histograms from a hub's children are aggregated;
+// merging is commutative, so the aggregate is independent of run
+// completion order. Nil-safe on both sides.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return

@@ -182,7 +182,7 @@ func TestRegistrySummaryDeterministic(t *testing.T) {
 // gauge values and per-cycle rate deltas, and WriteSamplesJSONL renders
 // them as deterministic cycle rows.
 func TestSamplerSeries(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(0)
 	occ := 0.0
 	h.Reg.Gauge("q.occupancy", func() float64 { return occ })
@@ -370,7 +370,7 @@ func TestHubNilSafety(t *testing.T) {
 	if h.Tracer() != nil || h.Registry() != nil {
 		t.Fatal("nil hub must return nil surfaces")
 	}
-	hub := NewHub(0)
+	hub := NewSyncHub(0)
 	if hub.Tracer() != nil {
 		t.Fatal("tracing must be off until EnableTrace")
 	}
@@ -384,12 +384,11 @@ func TestHubNilSafety(t *testing.T) {
 
 // TestDefaultHubConcurrentAccess hammers SetDefault/Default from many
 // goroutines; under -race this proves the default-hub pointer itself is
-// safe to install and observe concurrently (the fleet's Width gate reads it
-// from worker setup paths). The hub's surfaces stay single-threaded — that
-// contract is enforced by experiments.Width, not here.
+// safe to install and observe concurrently (core.NewAppRunner reads it from
+// fleet workers).
 func TestDefaultHubConcurrentAccess(t *testing.T) {
 	defer SetDefault(nil)
-	hub := NewHub(0)
+	hub := NewSyncHub(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -244,8 +244,7 @@ func (r *Recorder) Series() []SeriesData {
 }
 
 // RunSeries groups one run's recorded series under the run's merged-output
-// name ("" for a plain hub; "main" or "label#seq" under a synchronized
-// hub).
+// name ("main" or "label#seq").
 type RunSeries struct {
 	Run    string
 	Series []SeriesData

@@ -12,7 +12,7 @@ import (
 // and writes no sample rows, no matter how many probe ticks fire; the ticks
 // are still counted.
 func TestRecordingOffByDefault(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	c := h.Reg.Counter("work.done")
 	for cyc := uint64(10); cyc <= 100; cyc += 10 {
 		c.Add(5)
@@ -37,7 +37,7 @@ func TestRecordingOffByDefault(t *testing.T) {
 // so a hub that never records (every hwgc-serve job) costs the engine's
 // probe path nothing.
 func TestSamplerOffZeroAllocs(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
 	h.Reg.Counter("unit.ops").Add(1)
@@ -53,7 +53,7 @@ func TestSamplerOffZeroAllocs(t *testing.T) {
 // BenchmarkSamplerTickOff measures the probe tick of a hub that never
 // records (and doubles as its zero-alloc guard under -benchmem).
 func BenchmarkSamplerTickOff(b *testing.B) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
 	b.ReportAllocs()
@@ -66,7 +66,7 @@ func BenchmarkSamplerTickOff(b *testing.B) {
 // TestRecorderGaugeAndCounter checks the two accumulation modes: gauges
 // record the window mean, counters the per-cycle rate over the window.
 func TestRecorderGaugeAndCounter(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(0)
 	g := 0.0
 	h.Reg.Gauge("queue.occupancy", func() float64 { return g })
@@ -80,8 +80,8 @@ func TestRecorderGaugeAndCounter(t *testing.T) {
 	}
 
 	runs := h.RecordedSeries()
-	if len(runs) != 1 || runs[0].Run != "" {
-		t.Fatalf("RecordedSeries = %+v, want one unnamed run", runs)
+	if len(runs) != 1 || runs[0].Run != "main" {
+		t.Fatalf("RecordedSeries = %+v, want one run \"main\"", runs)
 	}
 	byName := map[string]SeriesData{}
 	for _, s := range runs[0].Series {
@@ -119,7 +119,7 @@ func TestRecorderGaugeAndCounter(t *testing.T) {
 // whole run.
 func TestRecorderDownsampleBound(t *testing.T) {
 	const maxPoints = 16
-	h := NewHub(1)
+	h := NewSyncHub(1)
 	h.EnableRecording(maxPoints)
 	v := 0.0
 	h.Reg.Gauge("ramp", func() float64 { return v })
@@ -169,7 +169,7 @@ func TestRecorderDownsampleBound(t *testing.T) {
 // its current value, so its first window reports the true delta rather than
 // a fabricated lifetime spike.
 func TestRecorderLateRegistration(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(0)
 	c1 := h.Reg.Counter("early")
 	c1.Add(100)
@@ -205,7 +205,7 @@ func TestRecorderLateRegistration(t *testing.T) {
 // TestRecorderDeterminism: two identical runs record byte-identical series.
 func TestRecorderDeterminism(t *testing.T) {
 	run := func() []RunSeries {
-		h := NewHub(10)
+		h := NewSyncHub(10)
 		h.EnableRecording(32)
 		g := 0.0
 		h.Reg.Gauge("g", func() float64 { return g })
@@ -223,7 +223,7 @@ func TestRecorderDeterminism(t *testing.T) {
 	}
 }
 
-// TestSyncHubRecording: EnableRecording on a synchronized hub propagates to
+// TestSyncHubRecording: EnableRecording on a hub propagates to
 // forked children, and RecordedSeries merges them in (label, seq) order
 // under stable run names.
 func TestSyncHubRecording(t *testing.T) {
@@ -264,7 +264,7 @@ func TestSyncHubRecording(t *testing.T) {
 // within the point bound, and so does the rendered JSONL.
 func TestRecordingFixedMemory(t *testing.T) {
 	const maxPoints = 16
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(maxPoints)
 	g := 1.0
 	h.Reg.Gauge("g", func() float64 { return g })
@@ -294,7 +294,7 @@ func TestRecordingFixedMemory(t *testing.T) {
 	}
 }
 
-// TestWriteSamplesJSONLSyncHub: on a synchronized hub, -metrics-out rows are
+// TestWriteSamplesJSONLSyncHub: -metrics-out rows are
 // run-tagged, cycle-ordered, bounded by the recorder's point count per run
 // even after downsampling, and byte-identical across identical runs.
 func TestWriteSamplesJSONLSyncHub(t *testing.T) {
@@ -367,7 +367,7 @@ func TestWriteSamplesJSONLSyncHub(t *testing.T) {
 // is warm, a probe tick must allocate nothing — recording is meant to ride
 // the engine hot path.
 func TestRecorderTickZeroAllocs(t *testing.T) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(64)
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
@@ -392,7 +392,7 @@ func TestRecorderTickZeroAllocs(t *testing.T) {
 // BenchmarkRecorderTick measures the recording probe tick (and doubles as
 // the zero-alloc guard under -benchmem).
 func BenchmarkRecorderTick(b *testing.B) {
-	h := NewHub(10)
+	h := NewSyncHub(10)
 	h.EnableRecording(DefaultRecorderPoints)
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })

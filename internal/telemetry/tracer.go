@@ -208,7 +208,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 }
 
 // tracePart is one tracer in a merged Chrome trace; a non-empty name labels
-// its process in the viewer (synchronized-hub runs).
+// its process in the viewer (one per hub run).
 type tracePart struct {
 	name string
 	t    *Tracer
