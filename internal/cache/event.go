@@ -34,8 +34,16 @@ type Event struct {
 	in     *sim.Queue[Access]
 	tick   *sim.Ticker
 
-	mshrMax int
-	mshrs   map[uint64][]Access // line address -> waiters
+	// hits holds the continuations of hits waiting out hitLat. Every hit
+	// completes exactly hitLat cycles after it is serviced, so they fire
+	// in service order and hitDone always serves the oldest.
+	hits    *sim.Queue[func(uint64)]
+	hitDone func()
+
+	// MSHRs: the occupied records, searched by line, and the free ones.
+	// Each record's fill callback is bound once.
+	mshrs    []*mshr
+	freeMSHR []*mshr
 
 	// onSpace is invoked when an input-queue slot frees.
 	onSpace func()
@@ -52,6 +60,15 @@ type Event struct {
 	telUnit string            // "cache.<name>", precomputed at attach
 }
 
+// mshr is one miss-status holding register: the line being filled and the
+// accesses waiting on it.
+type mshr struct {
+	line    uint64
+	start   uint64 // miss issue cycle (trace spans; 0 when tracing is off)
+	waiters []Access
+	fill    func(finish uint64)
+}
+
 // NewEvent returns an event-driven cache of the given size/ways, hit latency
 // hitLat, inputQ entries of crossbar queueing, mshrs outstanding misses, and
 // a downstream interconnect port.
@@ -62,12 +79,18 @@ func NewEvent(eng *sim.Engine, size, ways int, hitLat uint64, inputQ, mshrs int,
 		hitLat:           hitLat,
 		port:             port,
 		in:               sim.NewQueue[Access](inputQ),
-		mshrMax:          mshrs,
-		mshrs:            make(map[uint64][]Access),
+		hits:             sim.NewQueue[func(uint64)](0),
 		RequestsBySource: make(map[string]uint64),
 		MissesBySource:   make(map[string]uint64),
 	}
 	c.tick = sim.NewTicker(eng, c.step)
+	c.hitDone = func() {
+		done, _ := c.hits.Pop()
+		done(c.eng.Now())
+	}
+	for i := 0; i < mshrs; i++ {
+		c.freeMSHR = append(c.freeMSHR, c.newMSHR())
+	}
 	port.SetOnSpace(func() { c.tick.Wake() })
 	return c
 }
@@ -77,6 +100,8 @@ func (c *Event) State() *State { return c.state }
 
 // Access submits a request. It returns false when the crossbar queue is
 // full; callers retry when their own issue ticker runs again.
+//
+//hwgc:hotpath
 func (c *Event) Access(a Access) bool {
 	if !c.in.Push(a) {
 		return false
@@ -92,7 +117,58 @@ func (c *Event) Free() int { return c.in.Free() }
 // SetOnSpace registers a callback invoked when an input-queue slot frees.
 func (c *Event) SetOnSpace(fn func()) { c.onSpace = fn }
 
+// newMSHR builds a free MSHR record with its fill callback bound once.
+func (c *Event) newMSHR() *mshr {
+	m := &mshr{}
+	m.fill = func(f uint64) { c.fill(m, f) }
+	return m
+}
+
+// fill completes m's line fill: it frees the MSHR and answers every waiter.
+//
+//hwgc:hotpath
+func (c *Event) fill(m *mshr, f uint64) {
+	if c.tel != nil {
+		c.tel.Complete1(c.telUnit, "miss-fill", m.start, c.eng.Now(), "line", m.line)
+	}
+	c.releaseMSHR(m)
+	for _, w := range m.waiters {
+		if w.Done != nil {
+			w.Done(f)
+		}
+	}
+	// Only now may the record be reused: the loop above reads it.
+	m.waiters = m.waiters[:0]
+	c.freeMSHR = append(c.freeMSHR, m)
+	c.tick.Wake()
+}
+
+// findMSHR returns the occupied MSHR for line, or nil.
+func (c *Event) findMSHR(line uint64) *mshr {
+	for _, m := range c.mshrs {
+		if m.line == line {
+			return m
+		}
+	}
+	return nil
+}
+
+// releaseMSHR removes m from the occupied set (order is irrelevant: lookups
+// are by line, and lines are unique among occupied records).
+func (c *Event) releaseMSHR(m *mshr) {
+	for i, o := range c.mshrs {
+		if o == m {
+			last := len(c.mshrs) - 1
+			c.mshrs[i] = c.mshrs[last]
+			c.mshrs = c.mshrs[:last]
+			return
+		}
+	}
+}
+
 // step services one access per cycle.
+//
+//hwgc:hotpath
 func (c *Event) step() bool {
 	a, ok := c.in.Peek()
 	if !ok {
@@ -101,9 +177,9 @@ func (c *Event) step() bool {
 	line := a.Addr / LineSize * LineSize
 
 	// Coalesce into an existing MSHR for the same line.
-	if waiters, pending := c.mshrs[line]; pending {
+	if m := c.findMSHR(line); m != nil {
 		c.popInput()
-		c.mshrs[line] = append(waiters, a)
+		m.waiters = append(m.waiters, a)
 		return !c.in.Empty()
 	}
 
@@ -112,7 +188,7 @@ func (c *Event) step() bool {
 		// Miss path: check resources before committing any state so a
 		// stalled access retries cleanly. Conservatively require two
 		// port slots (fill + possible dirty write-back).
-		if len(c.mshrs) >= c.mshrMax || c.port.Free() < 2 {
+		if len(c.freeMSHR) == 0 || c.port.Free() < 2 {
 			c.Stalls++
 			return false
 		}
@@ -120,9 +196,9 @@ func (c *Event) step() bool {
 	hit, wb := c.state.Access(line, write)
 	if hit {
 		c.popInput()
-		done := a.Done
-		if done != nil {
-			c.eng.After(c.hitLat, func() { done(c.eng.Now()) })
+		if a.Done != nil {
+			c.hits.Push(a.Done)
+			c.eng.After(c.hitLat, c.hitDone)
 		}
 		return !c.in.Empty()
 	}
@@ -131,24 +207,15 @@ func (c *Event) step() bool {
 	if wb {
 		c.port.Issue(dram.Request{Addr: line, Size: LineSize, Kind: dram.Write})
 	}
-	c.mshrs[line] = []Access{a}
-	var missStart uint64
+	m := c.freeMSHR[len(c.freeMSHR)-1]
+	c.freeMSHR = c.freeMSHR[:len(c.freeMSHR)-1]
+	m.line = line
+	m.waiters = append(m.waiters, a)
 	if c.tel != nil {
-		missStart = c.eng.Now()
+		m.start = c.eng.Now()
 	}
-	c.port.Issue(dram.Request{Addr: line, Size: LineSize, Kind: dram.Read, Done: func(f uint64) {
-		if c.tel != nil {
-			c.tel.Complete1(c.telUnit, "miss-fill", missStart, c.eng.Now(), "line", line)
-		}
-		waiters := c.mshrs[line]
-		delete(c.mshrs, line)
-		for _, w := range waiters {
-			if w.Done != nil {
-				w.Done(f)
-			}
-		}
-		c.tick.Wake()
-	}})
+	c.mshrs = append(c.mshrs, m)
+	c.port.Issue(dram.Request{Addr: line, Size: LineSize, Kind: dram.Read, Done: m.fill})
 	return !c.in.Empty()
 }
 

@@ -38,6 +38,7 @@ type Collector struct {
 
 	queueVA      uint64
 	queueEntries int
+	queue        markQueue // reused across collections
 
 	// MarkProbes, when non-nil, counts status-word accesses per object
 	// (the access-frequency data behind Figure 21a).
@@ -54,7 +55,9 @@ func New(sys *rts.System, c *cpu.CPU, queueEntries int) *Collector {
 	if qva == 0 {
 		panic("swgc: aux space exhausted allocating mark queue")
 	}
-	return &Collector{sys: sys, cpu: c, queueVA: qva, queueEntries: queueEntries}
+	g := &Collector{sys: sys, cpu: c, queueVA: qva, queueEntries: queueEntries}
+	g.queue.g = g
+	return g
 }
 
 // Collect performs one full stop-the-world collection: flip the mark sense,
@@ -86,13 +89,24 @@ func (g *Collector) MarkOnly() Result {
 	return res
 }
 
-// markQueue models the software work queue: a Go-side deque whose accesses
-// are charged against a ring-buffer region in the aux space.
+// markQueue models the software work queue: a Go-side FIFO whose accesses
+// are charged against a ring-buffer region in the aux space. It is a
+// functional mirror only (the CPU is charged through the ring addresses),
+// so its host layout is free: entries live in buf[head:], and the dead
+// prefix is reclaimed in place when buf fills.
 type markQueue struct {
 	g       *Collector
 	buf     []heap.Ref
+	head    int
 	pushIdx uint64
 	popIdx  uint64
+}
+
+// reset empties the queue for a new mark phase, keeping its storage.
+func (q *markQueue) reset() {
+	q.buf = q.buf[:0]
+	q.head = 0
+	q.pushIdx, q.popIdx = 0, 0
 }
 
 func (q *markQueue) push(r heap.Ref) {
@@ -100,25 +114,31 @@ func (q *markQueue) push(r heap.Ref) {
 	q.g.cpu.Access(slot, 8, dram.Write)
 	q.g.cpu.Compute(2) // index update, bounds check
 	q.pushIdx++
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
 	q.buf = append(q.buf, r)
 }
 
 func (q *markQueue) pop() (heap.Ref, bool) {
-	if len(q.buf) == 0 {
+	if q.head == len(q.buf) {
 		return 0, false
 	}
 	slot := q.g.queueVA + (q.popIdx%uint64(q.g.queueEntries))*8
 	q.g.cpu.Access(slot, 8, dram.Read)
 	q.g.cpu.Compute(2)
 	q.popIdx++
-	r := q.buf[0]
-	q.buf = q.buf[1:]
+	r := q.buf[q.head]
+	q.head++
 	return r, true
 }
 
 func (g *Collector) mark(res *Result) {
 	h := g.sys.Heap
-	q := &markQueue{g: g}
+	q := &g.queue
+	q.reset()
 
 	// Read the roots out of the hwgc-space.
 	for i := 0; i < g.sys.Roots.Count(); i++ {

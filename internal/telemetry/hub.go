@@ -69,7 +69,7 @@ func (h *Hub) EnableTrace() *Tracer {
 		// trace file's otherData: a capped tracer silently dropping spans
 		// would otherwise look like a quiet run.
 		t := h.Trace
-		h.Reg.CounterFunc("telemetry.trace.events", func() uint64 { return uint64(len(t.Events())) })
+		h.Reg.CounterFunc("telemetry.trace.events", func() uint64 { return uint64(t.Len()) })
 		h.Reg.CounterFunc("telemetry.trace.dropped", t.Dropped)
 	}
 	h.mu.Lock()
@@ -286,7 +286,7 @@ func (h *Hub) WriteTraceChrome(w io.Writer) error {
 		return nil
 	}
 	var parts []tracePart
-	if h.Trace != nil && len(h.Trace.Events()) > 0 {
+	if h.Trace.Len() > 0 {
 		parts = append(parts, tracePart{name: "main", t: h.Trace})
 	}
 	for _, c := range h.sortedChildren() {
@@ -303,9 +303,9 @@ func (h *Hub) TraceEventCount() int {
 	if h == nil {
 		return 0
 	}
-	n := len(h.Trace.Events())
+	n := h.Trace.Len()
 	for _, c := range h.sortedChildren() {
-		n += len(c.hub.Trace.Events())
+		n += c.hub.Trace.Len()
 	}
 	return n
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -349,6 +350,42 @@ func TestTracerDropsAtCap(t *testing.T) {
 	if len(tr.Events()) != 4 || tr.Dropped() != 6 {
 		t.Fatalf("events=%d dropped=%d, want 4/6", len(tr.Events()), tr.Dropped())
 	}
+}
+
+// TestTracerBufferGrowsOnDemand: a tracer holding a few events must not
+// have reserved its whole DefaultMaxEvents buffer (136 MB), and growth must
+// stop at the cap with the excess counted as dropped.
+func TestTracerBufferGrowsOnDemand(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i < 10; i++ {
+		tr.Complete1("u", "e", uint64(i), uint64(i+1), "k", uint64(i))
+	}
+	if held := heldBytes(tr); held >= 1<<20 {
+		t.Fatalf("10 events hold %d bytes of buffer, want < 1 MiB", held)
+	}
+
+	tr = NewTracer()
+	tr.MaxEvents = 3000 // not a power of two: the last growth is clamped
+	for i := 0; i < 5000; i++ {
+		tr.Instant("u", "e", uint64(i))
+	}
+	size := int(unsafe.Sizeof(Event{}))
+	if tr.Len() != 3000 || heldBytes(tr) != 3000*size || tr.Dropped() != 2000 {
+		t.Fatalf("events=%d held=%d bytes dropped=%d, want 3000/%d/2000",
+			tr.Len(), heldBytes(tr), tr.Dropped(), 3000*size)
+	}
+	if ev := tr.Events(); ev[0].Start != 0 || ev[2999].Start != 2999 {
+		t.Fatalf("kept events %d..%d, want the earliest 0..2999", ev[0].Start, ev[2999].Start)
+	}
+}
+
+// heldBytes is the memory a tracer's event buffer holds.
+func heldBytes(tr *Tracer) int {
+	n := 0
+	for _, b := range tr.blocks {
+		n += cap(b)
+	}
+	return n * int(unsafe.Sizeof(Event{}))
 }
 
 func TestTracerTrackOrder(t *testing.T) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"iter"
 	"strconv"
 )
 
@@ -47,11 +48,19 @@ type Tracer struct {
 	// MaxEvents overrides DefaultMaxEvents when > 0.
 	MaxEvents int
 
-	events  []Event
+	// blocks holds the events in recording order, eventBlock to a block
+	// (the last one partly filled). Growing by whole blocks never copies
+	// or strands an old buffer, so a trace holds about what it recorded,
+	// up to the cap.
+	blocks  [][]Event
+	n       int // events recorded
 	dropped uint64
 	tracks  map[string]int
 	order   []string
 }
+
+// eventBlock is the number of events the buffer grows by (544 KiB).
+const eventBlock = 1 << 12
 
 // NewTracer returns an enabled tracer.
 func NewTracer() *Tracer {
@@ -66,20 +75,21 @@ func (t *Tracer) cap() int {
 }
 
 func (t *Tracer) push(e Event) {
-	if len(t.events) >= t.cap() {
+	limit := t.cap()
+	if t.n >= limit {
 		t.dropped++
 		return
 	}
-	if t.events == nil {
-		// The buffer is bounded; allocating it once up front avoids
-		// hundreds of MB of growth-and-copy churn on long traces.
-		t.events = make([]Event, 0, t.cap())
+	if t.n%eventBlock == 0 {
+		t.blocks = append(t.blocks, make([]Event, 0, min(eventBlock, limit-t.n)))
 	}
 	if _, ok := t.tracks[e.Unit]; !ok {
 		t.tracks[e.Unit] = len(t.order)
 		t.order = append(t.order, e.Unit)
 	}
-	t.events = append(t.events, e)
+	last := &t.blocks[len(t.blocks)-1]
+	*last = append(*last, e)
+	t.n++
 }
 
 // Complete records a span covering [start, end] cycles on the unit's track.
@@ -152,12 +162,38 @@ func (t *Tracer) Instant2(unit, name string, cycle uint64, k1 string, v1 uint64,
 	t.push(e)
 }
 
-// Events returns the recorded events (inspection/tests).
+// Events returns a copy of the recorded events, in recording order
+// (inspection/tests).
 func (t *Tracer) Events() []Event {
-	if t == nil {
+	if t == nil || t.n == 0 {
 		return nil
 	}
-	return t.events
+	out := make([]Event, 0, t.n)
+	for e := range t.all() {
+		out = append(out, *e)
+	}
+	return out
+}
+
+// all yields every recorded event in recording order.
+func (t *Tracer) all() iter.Seq[*Event] {
+	return func(yield func(*Event) bool) {
+		for _, b := range t.blocks {
+			for i := range b {
+				if !yield(&b[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Len returns the number of recorded events.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
 }
 
 // Dropped returns the number of events discarded after the buffer filled.
@@ -268,8 +304,7 @@ func (t *Tracer) writeChromeBody(w io.Writer, pid int, procName string, writeSep
 			return err
 		}
 	}
-	for i := range t.events {
-		e := &t.events[i]
+	for e := range t.all() {
 		if err := writeSep(); err != nil {
 			return err
 		}
@@ -304,8 +339,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	for i := range t.events {
-		e := &t.events[i]
+	for e := range t.all() {
 		if _, err := fmt.Fprintf(w, `{"unit":%s,"name":%s,"ph":%s,"cycle":%d`,
 			strconv.Quote(e.Unit), strconv.Quote(e.Name), strconv.Quote(string(e.Phase)), e.Start); err != nil {
 			return err

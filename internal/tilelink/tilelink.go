@@ -40,6 +40,11 @@ type Bus struct {
 	tick      *sim.Ticker
 	wake      func() // b.tick.Wake, bound once
 	busyUntil uint64
+	// parked is set while a wake is scheduled for busyUntil. One is
+	// enough: further wakes for the same cycle would fire after it and
+	// find the ticker already scheduled.
+	parked bool
+	unpark func() // the parked wake, bound once
 
 	// Grants counts arbiter grants (requests accepted into memory).
 	Grants uint64
@@ -70,6 +75,10 @@ func New(eng *sim.Engine, mem dram.Memory) *Bus {
 	b := &Bus{eng: eng, mem: mem}
 	b.tick = sim.NewTicker(eng, b.step)
 	b.wake = func() { b.tick.Wake() }
+	b.unpark = func() {
+		b.parked = false
+		b.tick.Wake()
+	}
 	mem.SetOnSpace(b.wake)
 	return b
 }
@@ -113,7 +122,10 @@ func (b *Bus) AttachTelemetry(h *telemetry.Hub) {
 func (b *Bus) step() bool {
 	now := b.eng.Now()
 	if now < b.busyUntil {
-		b.eng.At(b.busyUntil, b.wake)
+		if !b.parked {
+			b.parked = true
+			b.eng.At(b.busyUntil, b.unpark)
+		}
 		return false
 	}
 	n := len(b.ports)

@@ -35,6 +35,9 @@ type Tracer struct {
 	inflight int
 	tick     *sim.Ticker
 
+	onTranslated func(pa uint64, ok bool) // translation continuation, bound once
+	free         []*chunkSlot             // idle chunk slots (the pool grows on demand)
+
 	onSpanConsumed func() // wakes the marker when input space frees
 
 	// Stats.
@@ -48,12 +51,38 @@ type Tracer struct {
 	telUnit string            // "tracer.tracer" or "tracer.reader", set at attach
 }
 
+// chunkSlot carries one in-flight chunk read. The hardware request is
+// untagged; the slot only holds what the response handler needs, with its
+// callback bound when the slot is built.
+type chunkSlot struct {
+	pa    uint64
+	refs  int
+	start uint64 // issue cycle (trace spans; 0 when tracing is off)
+	done  func(uint64)
+}
+
 // NewTracer builds a tracer over the given input span queue.
 func NewTracer(eng *sim.Engine, h *heap.Heap, in *sim.Queue[Span], mq *MarkQueue,
 	tr *vmem.Translator, issuer memIssuer) *Tracer {
 	t := &Tracer{eng: eng, h: h, in: in, mq: mq, tr: tr, issuer: issuer}
 	t.tick = sim.NewTicker(eng, t.step)
+	t.onTranslated = func(pa uint64, ok bool) {
+		t.pendingT = false
+		if !ok {
+			panic("trace: tracer page fault")
+		}
+		t.curPA = pa
+		t.translated = true
+		t.tick.Wake()
+	}
 	return t
+}
+
+// newChunkSlot builds a chunk slot with its completion bound once.
+func (t *Tracer) newChunkSlot() *chunkSlot {
+	s := &chunkSlot{}
+	s.done = func(uint64) { t.chunkDone(s) }
+	return s
 }
 
 // Wake schedules the tracer.
@@ -67,7 +96,11 @@ func (t *Tracer) Idle() bool {
 	return !t.curValid && t.inflight == 0 && t.in.Empty() && !t.pendingT
 }
 
-// step issues at most one chunk request per cycle.
+// step issues at most one chunk request per cycle. It is not annotated
+// //hwgc:hotpath because the chunk-slot pool grows here on demand, binding
+// one callback per new slot: the pool reaches the run's peak number of
+// in-flight chunks and is reused from then on, so a warm tracer issues
+// without allocating (TestMarkPhaseZeroAllocs).
 func (t *Tracer) step() bool {
 	if t.pendingT {
 		return false
@@ -90,16 +123,7 @@ func (t *Tracer) step() bool {
 		}
 	}
 	if !t.translated {
-		issued := t.tr.Translate(t.cur.VA, func(pa uint64, ok bool) {
-			t.pendingT = false
-			if !ok {
-				panic("trace: tracer page fault")
-			}
-			t.curPA = pa
-			t.translated = true
-			t.tick.Wake()
-		})
-		if !issued {
+		if !t.tr.Translate(t.cur.VA, t.onTranslated) {
 			panic("trace: translator rejected while not busy")
 		}
 		if t.tr.Busy() {
@@ -115,12 +139,13 @@ func (t *Tracer) step() bool {
 		return false
 	}
 	t.mq.Reserve(refs)
-	pa := t.curPA
-	var start uint64
+	s := t.slot()
+	s.pa, s.refs = t.curPA, refs
 	if t.tel != nil {
-		start = t.eng.Now()
+		s.start = t.eng.Now()
 	}
-	if !t.issuer.TryIssue(pa, size, dram.Read, func(uint64) { t.chunkDone(pa, refs, start) }) {
+	if !t.issuer.TryIssue(s.pa, size, dram.Read, s.done) {
+		t.free = append(t.free, s)
 		t.mq.Unreserve(refs)
 		return false
 	}
@@ -158,9 +183,24 @@ func (t *Tracer) chunkSize() uint64 {
 	return size
 }
 
+// slot takes an idle chunk slot, growing the pool when all are in flight.
+func (t *Tracer) slot() *chunkSlot {
+	n := len(t.free)
+	if n == 0 {
+		return t.newChunkSlot()
+	}
+	s := t.free[n-1]
+	t.free = t.free[:n-1]
+	return s
+}
+
 // chunkDone functionally reads the fetched reference slots and pushes the
 // non-null ones into the mark queue.
-func (t *Tracer) chunkDone(pa uint64, refs int, start uint64) {
+//
+//hwgc:hotpath
+func (t *Tracer) chunkDone(s *chunkSlot) {
+	pa, refs, start := s.pa, s.refs, s.start
+	t.free = append(t.free, s)
 	if t.tel != nil {
 		t.tel.Complete2(t.telUnit, "chunk", start, t.eng.Now(),
 			"pa", pa, "refs", uint64(refs))

@@ -147,14 +147,25 @@ func (pt *PageTable) Unmap(va uint64) {
 	pt.mem.Store64(table+vpn(va, 0)*8, 0)
 }
 
+// PTEs holds the physical addresses of the page-table entries one walk
+// visits, in walk order. A walk visits at most Levels entries, so they are
+// stored inline and a walk allocates nothing.
+type PTEs struct {
+	Addr [Levels]uint64
+	N    int
+}
+
 // Walk translates va, returning the physical address, the size (log2) of
 // the mapping page, and the physical addresses of the PTEs visited (for
 // timing models). ok is false for unmapped addresses (a page fault).
-func (pt *PageTable) Walk(va uint64) (pa uint64, pageBits int, ptes []uint64, ok bool) {
+//
+//hwgc:hotpath
+func (pt *PageTable) Walk(va uint64) (pa uint64, pageBits int, ptes PTEs, ok bool) {
 	table := pt.root
 	for level := Levels - 1; level >= 0; level-- {
 		slot := table + vpn(va, level)*8
-		ptes = append(ptes, slot)
+		ptes.Addr[ptes.N] = slot
+		ptes.N++
 		e := pt.mem.Load64(slot)
 		if e&pteValid == 0 {
 			return 0, 0, ptes, false

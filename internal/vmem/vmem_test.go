@@ -52,8 +52,8 @@ func TestSuperpage(t *testing.T) {
 	if bits != SuperPageBits {
 		t.Fatalf("pageBits = %d, want %d", bits, SuperPageBits)
 	}
-	if len(ptes) != 2 {
-		t.Fatalf("superpage walk visited %d PTEs, want 2", len(ptes))
+	if ptes.N != 2 {
+		t.Fatalf("superpage walk visited %d PTEs, want 2", ptes.N)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestWalkVisitsThreeLevels(t *testing.T) {
 	_, pt := newPT(t)
 	pt.Map(0x4000_0000, 0x20_0000)
 	_, _, ptes, ok := pt.Walk(0x4000_0000)
-	if !ok || len(ptes) != 3 {
-		t.Fatalf("walk: ok=%v levels=%d", ok, len(ptes))
+	if !ok || ptes.N != 3 {
+		t.Fatalf("walk: ok=%v levels=%d", ok, ptes.N)
 	}
 }
 

@@ -16,6 +16,11 @@ import (
 // PTE fetches go through either a small dedicated cache (the 8 KB PTW cache
 // of the partitioned design) or a direct interconnect port (the shared-cache
 // design routes them through the shared cache instead).
+//
+// Like the hardware, the walker holds its one walk in flight in fixed
+// state: the request, its PTE addresses and the resolved translation live
+// in struct fields, and the PTE-response and retry continuations are bound
+// once, so serving a walk allocates nothing.
 type Walker struct {
 	eng   *sim.Engine
 	pt    *PageTable
@@ -26,22 +31,52 @@ type Walker struct {
 	queue *sim.Queue[walkReq]
 	busy  bool
 
+	// The walk in flight (valid while busy).
+	cur   walkReq
+	ptes  PTEs
+	next  int // index of the PTE fetch to issue
+	pa    uint64
+	bits  int
+	valid bool
+
+	fetched func(uint64) // PTE response: issue the next fetch, bound once
+	retry   func()       // re-issue a refused fetch next cycle, bound once
+
+	// l2Hits holds L2-TLB hits waiting out their fixed latency. Every hit
+	// completes l2HitLat cycles after it is probed, so completions fire in
+	// probe order and l2Done always serves the oldest.
+	l2Hits *sim.Queue[l2Hit]
+	l2Done func()
+
 	// Walks counts completed walks, PTEFetches individual PTE reads,
 	// Faults unmapped translations, L2Hits walks satisfied by the shared
-	// second-level TLB.
+	// second-level TLB, PTERetries PTE reads refused by a full cache queue
+	// or port and retried a cycle later.
 	Walks      uint64
 	PTEFetches uint64
 	Faults     uint64
 	L2Hits     uint64
+	PTERetries uint64
 
 	tel     *telemetry.Tracer // nil = tracing disabled (fast path)
 	telUnit string            // "<owner>.walker", precomputed at attach
 }
 
+// l2HitLat is the latency of a walk served by the shared L2 TLB.
+const l2HitLat = 2
+
 type walkReq struct {
 	va    uint64
 	start uint64 // request cycle (trace spans; 0 when tracing is off)
 	done  func(pa uint64, pageBits int, ok bool)
+}
+
+// l2Hit is a resolved walk waiting out the L2-TLB latency.
+type l2Hit struct {
+	done  func(pa uint64, pageBits int, ok bool)
+	pa    uint64
+	bits  int
+	valid bool
 }
 
 // NewWalker returns a walker reading page tables rooted in pt. Exactly one
@@ -50,20 +85,32 @@ func NewWalker(eng *sim.Engine, pt *PageTable, ptwCache *cache.Event, port *tile
 	if (ptwCache == nil) == (port == nil) {
 		panic("vmem: walker needs exactly one of cache or port")
 	}
-	return &Walker{eng: eng, pt: pt, cache: ptwCache, port: port, l2: l2,
-		queue: sim.NewQueue[walkReq](0)}
+	w := &Walker{eng: eng, pt: pt, cache: ptwCache, port: port, l2: l2,
+		queue: sim.NewQueue[walkReq](0), l2Hits: sim.NewQueue[l2Hit](0)}
+	w.fetched = func(uint64) {
+		w.next++
+		w.fetchPTE()
+	}
+	w.retry = func() { w.fetchPTE() }
+	w.l2Done = func() {
+		h, _ := w.l2Hits.Pop()
+		h.done(h.pa, h.bits, h.valid)
+	}
+	return w
 }
 
 // Walk translates va, invoking done when the translation (or fault)
 // resolves. Requests are served in order, one at a time.
+//
+//hwgc:hotpath
 func (w *Walker) Walk(va uint64, done func(pa uint64, pageBits int, ok bool)) {
 	// Shared L2 TLB probe happens before occupying the walker.
 	if w.l2 != nil {
 		if _, ok := w.l2.Lookup(va); ok {
 			w.L2Hits++
 			pa, bits, _, valid := w.pt.Walk(va)
-			fin := done
-			w.eng.After(2, func() { fin(pa, bits, valid) })
+			w.l2Hits.Push(l2Hit{done: done, pa: pa, bits: bits, valid: valid})
+			w.eng.After(l2HitLat, w.l2Done)
 			return
 		}
 	}
@@ -84,36 +131,37 @@ func (w *Walker) kick() {
 		return
 	}
 	w.busy = true
-	pa, bits, ptes, valid := w.pt.Walk(req.va)
-	w.fetchPTE(req, ptes, 0, pa, bits, valid)
+	w.cur = req
+	w.pa, w.bits, w.ptes, w.valid = w.pt.Walk(req.va)
+	w.next = 0
+	w.fetchPTE()
 }
 
-// fetchPTE issues the i-th PTE read; when the last one returns, the walk
-// completes.
-func (w *Walker) fetchPTE(req walkReq, ptes []uint64, i int, pa uint64, bits int, valid bool) {
-	if i >= len(ptes) {
-		w.finish(req, pa, bits, valid)
+// fetchPTE issues the walk's next PTE read; when the last one has returned,
+// the walk completes.
+func (w *Walker) fetchPTE() {
+	if w.next >= w.ptes.N {
+		w.finish()
 		return
 	}
 	w.PTEFetches++
-	next := func(uint64) { w.fetchPTE(req, ptes, i+1, pa, bits, valid) }
+	addr := w.ptes.Addr[w.next]
 	if w.cache != nil {
-		if !w.cache.Access(cache.Access{Addr: ptes[i], Size: 8, Kind: dram.Read, Source: "ptw", Done: next}) {
+		if !w.cache.Access(cache.Access{Addr: addr, Size: 8, Kind: dram.Read, Source: "ptw", Done: w.fetched}) {
 			w.PTEFetches--
-			w.eng.After(1, func() { w.fetchPTEretry(req, ptes, i, pa, bits, valid) })
+			w.PTERetries++
+			w.eng.After(1, w.retry)
 		}
 		return
 	}
-	if !w.port.Issue(dram.Request{Addr: ptes[i], Size: 8, Kind: dram.Read, Done: next}) {
-		w.eng.After(1, func() { w.fetchPTEretry(req, ptes, i, pa, bits, valid) })
+	if !w.port.Issue(dram.Request{Addr: addr, Size: 8, Kind: dram.Read, Done: w.fetched}) {
+		w.PTERetries++
+		w.eng.After(1, w.retry)
 	}
 }
 
-func (w *Walker) fetchPTEretry(req walkReq, ptes []uint64, i int, pa uint64, bits int, valid bool) {
-	w.fetchPTE(req, ptes, i, pa, bits, valid)
-}
-
-func (w *Walker) finish(req walkReq, pa uint64, bits int, valid bool) {
+func (w *Walker) finish() {
+	req, pa, bits, valid := w.cur, w.pa, w.bits, w.valid
 	w.Walks++
 	if !valid {
 		w.Faults++
@@ -124,6 +172,8 @@ func (w *Walker) finish(req walkReq, pa uint64, bits int, valid bool) {
 		w.tel.Complete1(w.telUnit, "walk", req.start, w.eng.Now(), "va", req.va)
 	}
 	w.busy = false
+	// done may start the next walk (through Walk), which overwrites the
+	// in-flight fields; everything it needs was copied above.
 	req.done(pa, bits, valid)
 	w.kick()
 }
@@ -149,17 +199,30 @@ func (w *Walker) AttachTelemetry(h *telemetry.Hub, owner string) {
 
 // Translator is a per-unit L1 TLB front end over the shared walker. It is
 // blocking: while a miss is outstanding the unit cannot translate further
-// addresses, mirroring the paper's single-walk-at-a-time TLBs.
+// addresses, mirroring the paper's single-walk-at-a-time TLBs. The one
+// outstanding miss lives in fields, with the walk continuation bound once.
 type Translator struct {
 	eng    *sim.Engine
 	tlb    *TLB
 	walker *Walker
 	busy   bool
+
+	va     uint64                             // the outstanding miss
+	done   func(pa uint64, ok bool)           // its continuation
+	walked func(pa uint64, bits int, ok bool) // walk completion, bound once
 }
 
 // NewTranslator returns a translator with its own TLB over walker.
 func NewTranslator(eng *sim.Engine, tlb *TLB, walker *Walker) *Translator {
-	return &Translator{eng: eng, tlb: tlb, walker: walker}
+	tr := &Translator{eng: eng, tlb: tlb, walker: walker}
+	tr.walked = func(pa uint64, bits int, ok bool) {
+		if ok {
+			tr.tlb.Insert(tr.va, pa, bits)
+		}
+		tr.busy = false
+		tr.done(pa, ok)
+	}
+	return tr
 }
 
 // TLB exposes the translator's TLB (stats, flush).
@@ -169,6 +232,8 @@ func (tr *Translator) TLB() *TLB { return tr.tlb }
 // is folded into the requesting pipeline's issue stage) and Translate
 // returns true. On a miss, the walk is started and done runs later; further
 // Translate calls return false until it completes.
+//
+//hwgc:hotpath
 func (tr *Translator) Translate(va uint64, done func(pa uint64, ok bool)) bool {
 	if tr.busy {
 		return false
@@ -178,13 +243,8 @@ func (tr *Translator) Translate(va uint64, done func(pa uint64, ok bool)) bool {
 		return true
 	}
 	tr.busy = true
-	tr.walker.Walk(va, func(pa uint64, bits int, ok bool) {
-		if ok {
-			tr.tlb.Insert(va, pa, bits)
-		}
-		tr.busy = false
-		done(pa, ok)
-	})
+	tr.va, tr.done = va, done
+	tr.walker.Walk(va, tr.walked)
 	return true
 }
 
@@ -219,7 +279,7 @@ func (st *SyncTranslator) Translate(now uint64, va uint64) (pa uint64, finish ui
 	}
 	pa, bits, ptes, valid := st.pt.Walk(va)
 	t := now
-	for _, pte := range ptes {
+	for _, pte := range ptes.Addr[:ptes.N] {
 		t = st.next.Access(t, pte, 8, dram.Read)
 	}
 	if !valid {

@@ -15,9 +15,9 @@ budget="scripts/alloc_budget.txt"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== allocation sentinel: quick suite + image, cluster, and telemetry micro-benchmarks (1 iteration)"
+echo "== allocation sentinel: quick suite, GC-unit mark phase + image, cluster, and telemetry micro-benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkWallSpanOff$|BenchmarkSamplerTickOff$' \
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkUnitMarkPhase$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkWallSpanOff$|BenchmarkSamplerTickOff$' \
     -benchmem -benchtime=1x . ./internal/cluster/ ./internal/telemetry/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then
